@@ -21,7 +21,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 
 using namespace isq;
 using namespace isq::protocols;
@@ -237,70 +236,6 @@ void BM_CompactPaxos(benchmark::State &State) {
 BENCHMARK(BM_CompactPaxos)
     ->Args({2, 4, 0}) // raw arenas
     ->Args({2, 4, 1}) // compact (delta/varint) store
-    ->Unit(benchmark::kMillisecond);
-
-//===----------------------------------------------------------------------===//
-// Tiered-store scale target: the same Paxos 2x4 exploration as
-// BM_CompactPaxos mode 1, but with the compact store spilling sealed
-// blocks to the mmap'd cold tier under a memory budget. The budget and
-// spill directory come from the environment because the interesting
-// budget is computed at runtime by tools/bench_engine.sh (half the
-// unspilled run's peak RSS, capped to half the compact footprint so
-// eviction provably happens). Counts must match the unspilled run
-// exactly; the script asserts that and the <= 2.5x wall-time bound.
-//===----------------------------------------------------------------------===//
-
-void BM_SpillPaxos(benchmark::State &State) {
-  const char *Budget = std::getenv("ISQ_SPILL_MEM_BUDGET");
-  const char *Dir = std::getenv("ISQ_SPILL_DIR");
-  if (!Budget || !Dir) {
-    State.SkipWithError("set ISQ_SPILL_MEM_BUDGET (bytes) and ISQ_SPILL_DIR; "
-                        "tools/bench_engine.sh derives them from the "
-                        "unspilled run");
-    return;
-  }
-  PaxosParams Params{State.range(0), State.range(1)};
-  Program P = makePaxosProgram(Params);
-  Store Init = makePaxosInitialStore(Params);
-  ExploreOptions Opts;
-  Opts.MaxConfigurations = 50'000'000;
-  Opts.Config.Symmetry = true;
-  Opts.Config.NumThreads = 4;
-  Opts.Config.Compress = true;
-  // One shard: the budget is global, and a single shard seals eviction
-  // blocks fastest, so the cold tier is exercised hardest.
-  Opts.Config.Shards = 1;
-  Opts.Config.Spill = true;
-  Opts.Config.SpillDir = Dir;
-  Opts.Config.MemBudget = std::strtoull(Budget, nullptr, 10);
-  size_t Configs = 0, Interned = 0, CompressedBytes = 0;
-  uint64_t BytesHot = 0, BytesCold = 0, Evicted = 0, Faulted = 0;
-  for (auto _ : State) {
-    ExploreResult R = exploreAll(P, {initialConfiguration(Init)}, Opts);
-    if (R.Stats.Truncated) {
-      State.SkipWithError("Paxos/4 exploration truncated");
-      return;
-    }
-    Configs = R.Stats.NumConfigurations;
-    Interned = R.Engine.InternedConfigs;
-    CompressedBytes = R.Engine.CompressedBytes;
-    BytesHot = R.Engine.BytesHot;
-    BytesCold = R.Engine.BytesCold;
-    Evicted = R.Engine.BlocksEvicted;
-    Faulted = R.Engine.BlocksFaulted;
-    benchmark::DoNotOptimize(R);
-  }
-  State.counters["configs"] = static_cast<double>(Configs);
-  State.counters["interned_configs"] = static_cast<double>(Interned);
-  State.counters["compressed_bytes"] = static_cast<double>(CompressedBytes);
-  State.counters["mem_budget"] = static_cast<double>(Opts.Config.MemBudget);
-  State.counters["bytes_hot"] = static_cast<double>(BytesHot);
-  State.counters["bytes_cold"] = static_cast<double>(BytesCold);
-  State.counters["blocks_evicted"] = static_cast<double>(Evicted);
-  State.counters["blocks_faulted"] = static_cast<double>(Faulted);
-}
-BENCHMARK(BM_SpillPaxos)
-    ->Args({2, 4}) // 2 rounds x 4 acceptors, spilled under the budget
     ->Unit(benchmark::kMillisecond);
 
 void BM_SymmetryTwoPhaseCommit(benchmark::State &State) {

@@ -98,24 +98,15 @@ const char *driver::usageText() {
          "                          symmetry=BOOL        orbit-canonical symmetry\n"
          "                                               reduction (default true)\n"
          "                          incremental=BOOL     content-addressed obligation\n"
-         "                                               verdict cache (default true;\n"
-         "                                               false re-checks everything —\n"
-         "                                               the differential oracle)\n"
+         "                                               verdict cache, attached when\n"
+         "                                               cache-dir is set (default\n"
+         "                                               true; false re-checks\n"
+         "                                               everything — the differential\n"
+         "                                               oracle)\n"
          "                          cache-dir=PATH       persist obligation verdicts\n"
          "                                               in PATH across runs (warm\n"
          "                                               re-verification); corrupt or\n"
          "                                               stale caches degrade to cold\n"
-         "                          spill=BOOL           spill sealed compact-store\n"
-         "                                               blocks to an mmap-backed\n"
-         "                                               cold tier (default false;\n"
-         "                                               requires compress=true,\n"
-         "                                               spill-dir and mem-budget)\n"
-         "                          spill-dir=PATH       cold-tier segment directory\n"
-         "                                               (per-run scratch; stale\n"
-         "                                               segments cleaned at startup)\n"
-         "                          mem-budget=BYTES     hot-tier byte budget that\n"
-         "                                               triggers eviction; accepts\n"
-         "                                               K/M/G suffixes (e.g. 64M)\n"
          "  --threads N           deprecated alias of --engine threads=N\n"
          "  --no-parallel-check   deprecated alias of --engine parallel-check=false\n"
          "  --no-symmetry         deprecated alias of --engine symmetry=false\n"
@@ -312,13 +303,6 @@ CliParse driver::parseCommandLine(const std::vector<std::string> &Args) {
 
   if (Cli.InputPath.empty()) {
     Parse.Error = "no input file given";
-    return Parse;
-  }
-  // Cross-knob coherence (spill=true needs compress/spill-dir/mem-budget,
-  // and so on) can only be judged once the whole command line is parsed.
-  std::string Error;
-  if (!Cli.Verify.Engine.validate(Error)) {
-    Parse.Error = "--engine: " + Error;
     return Parse;
   }
   Parse.Ok = true;

@@ -7,9 +7,9 @@
 /// has always printed, the JSON form is the machine-readable report
 /// behind `isq-verify --format json`.
 ///
-/// JSON schema (version 6):
+/// JSON schema (version 7):
 ///   {
-///     "schema_version": 6,
+///     "schema_version": 7,
 ///     "tool": "isq-verify",
 ///     "exit_code": 0|1|2,
 ///     "compile_ok": bool, "input_ok": bool, "accepted": bool,
@@ -24,10 +24,7 @@
 ///                  "canon_calls", "canon_cache_hits",
 ///                  "orbit_states_represented", "work_stealing",
 ///                  "steal_chunk", "steals", "shards",
-///                  "shard_occupancy", "compressed_bytes",
-///                  "spill_enabled", "mem_budget", "bytes_hot",
-///                  "bytes_cold", "blocks_evicted", "blocks_faulted",
-///                  "fault_stall_ns" },
+///                  "shard_occupancy", "compressed_bytes" },
 ///     "scheduler": { "threads", "jobs", "units", "dedup_discarded",
 ///                    "cpu_seconds", "wall_seconds" },
 ///     "obligations": { "total", "cache_enabled", "cache_hits",
@@ -60,15 +57,13 @@
 /// so hits+misses equals the obligations the scheduler would discharge
 /// before dedup. Verdict fields are unchanged; the bump marks that two
 /// reports differing only under "obligations" are the same verdict.
-/// Version 6 added the tiered-store observability to "engine":
-/// "spill_enabled" and "mem_budget" echo the resolved configuration;
-/// "bytes_hot"/"bytes_cold" are the hot encoded bytes and cold segment
-/// bytes at end of run; "blocks_evicted"/"blocks_faulted" and
-/// "fault_stall_ns" count evictions, cold-tier decode faults and the
-/// wall time spent in them. The eviction/fault counters are telemetry
-/// (eviction timing depends on cross-thread allocation order); verdict
-/// fields are unchanged — spilling is bit-identical to the hot-only
-/// store.
+/// Version 6 added tiered-store telemetry to "engine" ("spill_enabled",
+/// "mem_budget", "bytes_hot", "bytes_cold", "blocks_evicted",
+/// "blocks_faulted", "fault_stall_ns"). Version 7 removed those fields
+/// with the tiered store itself (the breaking part); since then
+/// "cache_enabled" is false for one-shot runs without --engine
+/// cache-dir, because the verdict cache only attaches where a later run
+/// can read it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,7 +78,7 @@ namespace isq {
 namespace driver {
 
 /// The version of the JSON report schema emitted by renderJson.
-constexpr int JsonSchemaVersion = 6;
+constexpr int JsonSchemaVersion = 7;
 
 /// Renders the human-readable summary (the `--format text` output).
 std::string renderText(const VerifyResult &Result);

@@ -253,14 +253,15 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
   Result.Engine.accumulate(Universe.Stats);
   ISCheckOptions CheckOpts;
   CheckOpts.Config = Options.Engine;
-  // Obligation verdict cache: a shared one (isq-serve) is attached as-is
-  // and persisted by its owner; otherwise the request gets its own,
-  // disk-backed when --engine cache-dir= was given.
+  // Obligation verdict cache, attached only where a later request can
+  // read it: a shared one (isq-serve) as-is, persisted by its owner, or a
+  // disk-backed one under --engine cache-dir=. A one-shot run without
+  // either would fingerprint and encode every slice for nothing.
   std::optional<engine::ObligationCache> LocalCache;
   if (Options.Engine.Incremental) {
     if (Options.SharedCache) {
       CheckOpts.Cache = Options.SharedCache;
-    } else {
+    } else if (!Options.Engine.CacheDir.empty()) {
       engine::ObligationCache::Options CacheOpts;
       CacheOpts.Dir = Options.Engine.CacheDir;
       LocalCache.emplace(std::move(CacheOpts));
@@ -270,7 +271,7 @@ VerifyResult driver::verifyModule(const VerifyOptions &Options) {
   ISCheckReport Report = checkIS(App, Universe, CheckOpts);
   Result.Report = Report;
   Result.Accepted = Report.ok();
-  if (LocalCache && LocalCache->persistent()) {
+  if (LocalCache) {
     // A writeback failure degrades the next run to cold; it never affects
     // this run's verdict, so it surfaces as a warning, not an error.
     std::string SaveError;

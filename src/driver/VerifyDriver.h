@@ -83,9 +83,10 @@ struct VerifyOptions {
   /// Externally owned obligation verdict cache shared across requests
   /// (isq-serve plugs its process-wide instance here). Null makes the
   /// driver create a request-local cache from Engine.CacheDir (persisted
-  /// after checking) or a memory-only one. The caller owns persistence of
-  /// a shared cache; the driver never save()s it. Ignored when
-  /// Engine.Incremental is false.
+  /// after checking), or run uncached when no cache-dir is set: nothing
+  /// could read a memory-only cache after the request. The caller owns
+  /// persistence of a shared cache; the driver never save()s it. Ignored
+  /// when Engine.Incremental is false.
   engine::ObligationCache *SharedCache = nullptr;
 };
 

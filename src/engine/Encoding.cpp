@@ -15,7 +15,7 @@ void engine::putVarint(std::string &Out, uint64_t V) {
   Out.push_back(static_cast<char>(V));
 }
 
-uint64_t engine::getVarint(const char *&P, const char *End) {
+uint64_t engine::getVarint(const char *&P, [[maybe_unused]] const char *End) {
   uint64_t V = 0;
   unsigned Shift = 0;
   while (true) {
@@ -159,10 +159,8 @@ std::string engine::encodeStore(const Store &S) {
 }
 
 Store engine::decodeStore(const std::string &Bytes) {
-  return decodeStore(Bytes.data(), Bytes.data() + Bytes.size());
-}
-
-Store engine::decodeStore(const char *P, const char *End) {
+  const char *P = Bytes.data();
+  const char *End = P + Bytes.size();
   uint64_t N = getVarint(P, End);
   std::vector<std::pair<Symbol, Value>> Vars;
   Vars.reserve(N);
@@ -191,11 +189,8 @@ engine::encodePaVec(const std::vector<std::pair<uint32_t, uint64_t>> &Vec) {
 
 std::vector<std::pair<uint32_t, uint64_t>>
 engine::decodePaVec(const std::string &Bytes) {
-  return decodePaVec(Bytes.data(), Bytes.data() + Bytes.size());
-}
-
-std::vector<std::pair<uint32_t, uint64_t>>
-engine::decodePaVec(const char *P, const char *End) {
+  const char *P = Bytes.data();
+  const char *End = P + Bytes.size();
   uint64_t N = getVarint(P, End);
   std::vector<std::pair<uint32_t, uint64_t>> Vec;
   Vec.reserve(N);

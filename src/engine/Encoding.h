@@ -36,17 +36,12 @@ Value decodeValue(const char *&P, const char *End);
 /// index and the value.
 std::string encodeStore(const Store &S);
 Store decodeStore(const std::string &Bytes);
-/// Span form: decodes [P, End) directly — the cold-tier fault path reads
-/// encodings out of an mmap'd segment without copying them into a string.
-Store decodeStore(const char *P, const char *End);
 
 /// Encodes a canonical (PaId, count) vector: entry count, then per entry
 /// a delta-encoded PaId and the multiplicity.
 std::string encodePaVec(const std::vector<std::pair<uint32_t, uint64_t>> &Vec);
 std::vector<std::pair<uint32_t, uint64_t>>
 decodePaVec(const std::string &Bytes);
-std::vector<std::pair<uint32_t, uint64_t>> decodePaVec(const char *P,
-                                                       const char *End);
 
 } // namespace engine
 } // namespace isq

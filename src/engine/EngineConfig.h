@@ -62,23 +62,10 @@ struct EngineConfig {
   /// discharging scheduler slices. False keeps the uncached path alive as
   /// the differential oracle (same verdicts, recomputed).
   bool Incremental = true;
-  /// Directory of the persistent obligation-cache tier; empty keeps the
-  /// cache in-memory only (still useful under isq-serve, where one
-  /// process serves many requests).
+  /// Directory of the persistent obligation-cache tier. Without it a
+  /// one-shot run attaches no cache, since nothing could reuse it;
+  /// isq-serve always uses its process-wide in-memory one.
   std::string CacheDir;
-  /// Spill sealed compact-store blocks to an mmap-backed cold tier when
-  /// hot encoded bytes exceed the memory budget. Requires compress=true,
-  /// spill-dir and mem-budget (see validate()). Verdicts, counts and
-  /// diagnostics are bit-identical with spilling on or off.
-  bool Spill = false;
-  /// Directory for cold-tier segment files (per-run scratch; stale
-  /// segments are deleted at startup, live ones on exit).
-  std::string SpillDir;
-  /// Hot-tier byte budget across all spilling arenas in the process;
-  /// eviction starts once hot encoded bytes exceed it. Accepts K/M/G
-  /// suffixes in the textual form. 0 means no budget.
-  uint64_t MemBudget = 0;
-
   /// Maximum supported shard count (the handle layout's shard bits).
   static constexpr unsigned MaxShards = 16;
 
@@ -87,45 +74,34 @@ struct EngineConfig {
            Symmetry == O.Symmetry && WorkStealing == O.WorkStealing &&
            StealChunk == O.StealChunk && Shards == O.Shards &&
            Compress == O.Compress && Incremental == O.Incremental &&
-           CacheDir == O.CacheDir && Spill == O.Spill &&
-           SpillDir == O.SpillDir && MemBudget == O.MemBudget;
+           CacheDir == O.CacheDir;
   }
   bool operator!=(const EngineConfig &O) const { return !(*this == O); }
 
   /// Applies one `key=value` setting. Returns false with \p Error set on
   /// an unknown key or malformed value. Valid keys: threads,
   /// parallel-check, symmetry, work-stealing, steal-chunk, shards,
-  /// compress, incremental, cache-dir, spill, spill-dir, mem-budget.
-  /// Booleans accept true/false/on/off/1/0; mem-budget accepts a byte
-  /// count with an optional K/M/G suffix.
+  /// compress, incremental, cache-dir. Booleans accept
+  /// true/false/on/off/1/0.
   bool set(const std::string &Key, const std::string &Value,
            std::string &Error);
-
-  /// Cross-knob coherence checks that set() cannot make (it sees one key
-  /// at a time): spill=true requires compress=true, spill-dir and
-  /// mem-budget; spill-dir/mem-budget require spill=true; cache-dir and
-  /// spill-dir must differ. Returns false with \p Error set on the first
-  /// conflict. Called after the whole --engine list (or server flag set)
-  /// is parsed.
-  bool validate(std::string &Error) const;
 
   /// Applies a comma-separated `key=value[,key=value...]` list (the
   /// `--engine` argument). Empty items between commas are errors.
   bool setList(const std::string &Spec, std::string &Error);
 
   /// The settings that differ from the defaults, as a sorted key→value
-  /// map (the wire/cache-key form). `threads`, `incremental`,
-  /// `cache-dir`, `spill`, `spill-dir` and `mem-budget` are deliberately
-  /// excluded: verdicts are independent of all of them (caching and
-  /// spilling are bit-identical to the plain paths), so they are local
-  /// tuning knobs, never request inputs — including them would fragment
-  /// the serve-side verdict cache for no semantic difference.
+  /// map (the wire/cache-key form). `threads`, `incremental` and
+  /// `cache-dir` are deliberately excluded: verdicts are independent of
+  /// all of them (caching is bit-identical to the plain path), so they
+  /// are local tuning knobs, never request inputs — including them would
+  /// fragment the serve-side verdict cache for no semantic difference.
   std::map<std::string, std::string> toKeyValues() const;
 
   /// Applies a wire key→value map on top of this config. Rejects unknown
   /// keys and malformed values like set(); additionally rejects the
-  /// server-side knobs `threads`, `incremental`, `cache-dir`, `spill`,
-  /// `spill-dir` and `mem-budget` (see toKeyValues()).
+  /// server-side knobs `threads`, `incremental` and `cache-dir` (see
+  /// toKeyValues()).
   bool applyKeyValues(const std::map<std::string, std::string> &KeyValues,
                       std::string &Error);
 

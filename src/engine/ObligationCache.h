@@ -110,7 +110,6 @@ public:
   bool save(std::string &Error);
 
   Counters counters() const;
-  bool persistent() const { return !Opts.Dir.empty(); }
 
   /// Serialization format of entry payloads and of the disk file. Bump on
   /// any layout change; old files are then treated as cold.

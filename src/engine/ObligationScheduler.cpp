@@ -147,9 +147,12 @@ public:
   }
 
   std::vector<ObCondition> Conditions;
-  /// Global indices into the scheduler's job list, in submission order.
-  std::vector<size_t> JobIndices;
+  /// Global index of the group's last submitted job; folding it frees
+  /// Consumed.
+  size_t LastJob = 0;
   std::vector<CheckResult> Results;
+  /// Keys consumed by the jobs folded so far.
+  std::unordered_set<ObKey, ObKeyHash> Consumed;
 };
 
 struct ObligationScheduler::JobSlot {
@@ -157,7 +160,7 @@ struct ObligationScheduler::JobSlot {
   /// Content fingerprint of the job's inputs; evaluated on the worker
   /// when a cache is attached. Null for uncacheable jobs.
   std::function<Fingerprint()> KeyFn;
-  ObCondition Cond; // condition of channel 0, for timing attribution
+  Group *G;
   ObSink Sink;
   double Seconds = 0;
   bool CacheHit = false;
@@ -187,15 +190,16 @@ void ObligationScheduler::add(Group *G,
 void ObligationScheduler::add(Group *G, std::function<Fingerprint()> KeyFn,
                               std::function<void(ObSink &)> Job) {
   assert(!Ran && "cannot submit jobs after run()");
-  G->JobIndices.push_back(Jobs.size());
-  Jobs.push_back(JobSlot{std::move(Job), std::move(KeyFn), G->Conditions[0],
-                         ObSink(), 0, false, false});
+  G->LastJob = Jobs.size();
+  Jobs.push_back(
+      JobSlot{std::move(Job), std::move(KeyFn), G, ObSink(), 0, false, false});
 }
 
 void ObligationScheduler::run() {
   assert(!Ran && "run() may be called once");
   Ran = true;
   Timer Wall;
+  Stats.Cache.Enabled = Cache != nullptr;
 
   size_t NumJobs = Jobs.size();
   unsigned Workers =
@@ -209,8 +213,8 @@ void ObligationScheduler::run() {
       Fingerprint Key = J.KeyFn();
       bool FromDisk = false;
       if (Cache->lookup(Key, J.Sink.Units, FromDisk)) {
-        // Replay: the recorded units flow through reconciliation exactly
-        // as freshly emitted ones would — bit-identical fold.
+        // Replay: the recorded units flow through the fold exactly as
+        // freshly emitted ones would — bit-identical results.
         J.CacheHit = true;
         J.FromDisk = FromDisk;
         J.Seconds = T.elapsed();
@@ -224,92 +228,107 @@ void ObligationScheduler::run() {
     J.Fn(J.Sink);
     J.Seconds = T.elapsed();
   };
-  if (Workers <= 1) {
-    for (JobSlot &J : Jobs)
-      RunOne(J);
-  } else {
-    std::atomic<size_t> Next{0};
-    std::exception_ptr Error;
-    std::mutex ErrorMutex;
-    auto Work = [&]() {
-      try {
-        for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-             I < NumJobs; I = Next.fetch_add(1, std::memory_order_relaxed))
-          RunOne(Jobs[I]);
-      } catch (...) {
-        std::lock_guard<std::mutex> Lock(ErrorMutex);
-        if (!Error)
-          Error = std::current_exception();
-      }
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers - 1);
-    for (unsigned I = 0; I + 1 < Workers; ++I)
-      Pool.emplace_back(Work);
-    Work();
-    for (std::thread &T : Pool)
-      T.join();
-    if (Error)
-      std::rethrow_exception(Error);
-  }
-
-  Stats.Cache.Enabled = Cache != nullptr;
-  for (JobSlot &J : Jobs) {
-    size_t CI = static_cast<size_t>(J.Cond);
-    ++Stats.PerCondition[CI].Jobs;
-    Stats.PerCondition[CI].JobSeconds += J.Seconds;
-    if (Cache && J.KeyFn) {
-      // Obligation-weighted cache accounting, before reconciliation
-      // (the sinks still hold every unit here; reconcile() drains them).
-      uint64_t Obs = 0;
-      for (const ObUnit &U : J.Sink.Units)
-        Obs += U.Obligations;
-      if (J.CacheHit) {
-        Stats.Cache.Hits += Obs;
-        if (J.FromDisk)
-          Stats.Cache.DiskHits += Obs;
-      } else {
-        Stats.Cache.Misses += Obs;
-      }
+  // Workers claim jobs in index order. A finished job is folded as soon
+  // as every earlier job has been; one worker at a time drains that
+  // prefix (outside the mutex) while the others keep checking, so only
+  // the jobs that finished ahead of an unfinished one hold their units.
+  // With one worker, every job is folded right after it ran.
+  std::atomic<size_t> Next{0};
+  std::mutex M; // guards everything below
+  std::vector<char> Done(NumJobs, 0);
+  size_t NextFold = 0;
+  bool Folding = false;
+  std::exception_ptr Error;
+  auto Finish = [&](size_t I) {
+    std::unique_lock<std::mutex> Lock(M);
+    Done[I] = 1;
+    if (Folding)
+      return; // the active folder re-checks Done before it stops
+    Folding = true;
+    while (NextFold < NumJobs && Done[NextFold]) {
+      size_t J = NextFold++;
+      Lock.unlock();
+      fold(J);
+      Lock.lock();
     }
-  }
-  for (Group &G : Groups)
-    reconcile(G);
+    Folding = false;
+  };
+  auto Work = [&]() {
+    try {
+      for (size_t I = Next.fetch_add(1, std::memory_order_relaxed);
+           I < NumJobs; I = Next.fetch_add(1, std::memory_order_relaxed)) {
+        RunOne(Jobs[I]);
+        Finish(I);
+      }
+    } catch (...) {
+      // Stop handing out jobs; the fold stalls at the failed job, which
+      // is harmless since the run rethrows.
+      Next.store(NumJobs, std::memory_order_relaxed);
+      std::lock_guard<std::mutex> Lock(M);
+      if (!Error)
+        Error = std::current_exception();
+    }
+  };
+  std::vector<std::thread> Pool;
+  for (unsigned I = 0; I + 1 < Workers; ++I)
+    Pool.emplace_back(Work);
+  Work();
+  for (std::thread &T : Pool)
+    T.join();
+  if (Error)
+    std::rethrow_exception(Error);
+  assert(NextFold == NumJobs && "every job folded");
   Stats.WallSeconds = Wall.elapsed();
 }
 
-void ObligationScheduler::reconcile(Group &G) {
-  // Replay every unit in (job submission, within-job emission) order
-  // against the group-wide dedup set: the surviving unit per key is
-  // exactly the serial loop's. See the header's determinism argument.
-  std::unordered_set<ObKey, ObKeyHash> Consumed;
-  for (size_t JobIdx : G.JobIndices) {
-    JobSlot &J = Jobs[JobIdx];
-    for (ObUnit &U : J.Sink.Units) {
-      assert(U.Channel < G.Results.size() && "unit channel out of range");
-      size_t CI = static_cast<size_t>(G.Conditions[U.Channel]);
-      ++Stats.PerCondition[CI].Units;
-      if (!U.Key.keyless() && !Consumed.insert(U.Key).second) {
-        ++Stats.PerCondition[CI].UnitsDeduped;
-        continue;
-      }
-      CheckResult &R = G.Results[U.Channel];
-      R.addObligations(U.Obligations);
-      uint32_t Reported = 0;
-      for (std::string &Issue : U.Issues) {
-        R.fail(std::move(Issue));
-        ++Reported;
-      }
-      // Failures beyond the retained diagnostics still count.
-      for (uint32_t I = Reported; I < U.Failures; ++I)
-        R.fail(std::string());
-      Stats.PerCondition[CI].Obligations += U.Obligations;
-      Stats.PerCondition[CI].Failures += U.Failures;
+void ObligationScheduler::fold(size_t JobIdx) {
+  // Folding jobs in submission order, and each job's units in emission
+  // order, against the group-wide dedup set keeps exactly the serial
+  // loop's surviving unit per key. See the header's determinism argument.
+  JobSlot &J = Jobs[JobIdx];
+  Group &G = *J.G;
+  ObligationStats::Bucket &JobBucket =
+      Stats.PerCondition[static_cast<size_t>(G.Conditions[0])];
+  ++JobBucket.Jobs;
+  JobBucket.JobSeconds += J.Seconds;
+  if (Cache && J.KeyFn) {
+    // Obligation-weighted cache accounting, before dedup.
+    uint64_t Obs = 0;
+    for (const ObUnit &U : J.Sink.Units)
+      Obs += U.Obligations;
+    if (J.CacheHit) {
+      Stats.Cache.Hits += Obs;
+      if (J.FromDisk)
+        Stats.Cache.DiskHits += Obs;
+    } else {
+      Stats.Cache.Misses += Obs;
     }
-    // Units are folded; release the memory before later groups reconcile.
-    J.Sink.Units.clear();
-    J.Sink.Units.shrink_to_fit();
   }
+  for (ObUnit &U : J.Sink.Units) {
+    assert(U.Channel < G.Results.size() && "unit channel out of range");
+    ObligationStats::Bucket &B =
+        Stats.PerCondition[static_cast<size_t>(G.Conditions[U.Channel])];
+    ++B.Units;
+    if (!U.Key.keyless() && !G.Consumed.insert(U.Key).second) {
+      ++B.UnitsDeduped;
+      continue;
+    }
+    CheckResult &R = G.Results[U.Channel];
+    R.addObligations(U.Obligations);
+    uint32_t Reported = 0;
+    for (std::string &Issue : U.Issues) {
+      R.fail(std::move(Issue));
+      ++Reported;
+    }
+    // Failures beyond the retained diagnostics still count.
+    for (uint32_t I = Reported; I < U.Failures; ++I)
+      R.fail(std::string());
+    B.Obligations += U.Obligations;
+    B.Failures += U.Failures;
+  }
+  std::vector<ObUnit>().swap(J.Sink.Units);
+  if (JobIdx == G.LastJob)
+    decltype(G.Consumed)().swap(G.Consumed);
 }
 
 void ObligationScheduler::noteOrbits(ObCondition Condition, uint64_t Reps,

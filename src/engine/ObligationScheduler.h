@@ -6,10 +6,10 @@
 /// Checker passes enumerate their work as *jobs* — closures tagged with a
 /// condition that emit ordered *obligation units* into a sink — and the
 /// scheduler runs the jobs on a worker pool sharing the driver's thread
-/// budget, then folds the units back together in canonical submission
-/// order. Verdicts, obligation counts and counterexample diagnostics are
-/// bit-identical for any thread count (the same determinism contract as
-/// the frontier merge in engine/StateGraph.h).
+/// budget, folding the units back together in canonical submission order
+/// as the jobs finish. Verdicts, obligation counts and counterexample
+/// diagnostics are bit-identical for any thread count (the same
+/// determinism contract as the frontier merge in engine/StateGraph.h).
 ///
 /// Determinism under deduplication. The serial checker loops deduplicate
 /// obligations whose outcome only depends on a store point (e.g. the
@@ -18,15 +18,20 @@
 /// consumed at an occurrence can depend on that occurrence's Ω, so the
 /// consuming occurrence cannot be precomputed without evaluating gates —
 /// the very work we want to parallelize. The scheduler instead runs
-/// *speculative dedup with ordered reconciliation*: each job processes a
+/// *speculative dedup with an ordered fold*: each job processes a
 /// contiguous slice of the universe with a job-local dedup set, emitting
-/// one unit per consumed key; the serial reconciliation then replays all
-/// units in (job submission, within-job emission) order against a
-/// group-wide dedup set and discards units whose key was already
-/// consumed. Because job slices are contiguous and ordered, the surviving
-/// unit for every key is exactly the one the serial loop would have
-/// produced — at the cost of some duplicated (discarded) work when a key
-/// spans slices.
+/// one unit per consumed key; the fold then replays all units in (job
+/// submission, within-job emission) order against a group-wide dedup set
+/// and discards units whose key was already consumed. Because job slices
+/// are contiguous and ordered, the surviving unit for every key is
+/// exactly the one the serial loop would have produced — at the cost of
+/// some duplicated (discarded) work when a key spans slices.
+///
+/// Memory. The fold streams: a finished job is folded, and its units
+/// freed, as soon as every earlier-submitted job has been folded, and a
+/// group's dedup set is freed with its last job. Workers claim jobs in
+/// submission order, so only the jobs that finished ahead of a slower
+/// earlier one (about one per worker) hold units at any time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,11 +79,11 @@ const char *obConditionLabel(ObCondition C);
 /// within the group (e.g. forward-preservation vs commutation) plus up to
 /// three 64-bit *content* fingerprints identifying the store point.
 /// Content — not interned handles — because units recorded by the
-/// obligation cache in one run are replayed through reconciliation in
+/// obligation cache in one run are replayed through the fold in
 /// another: a cached unit and a freshly emitted one must dedup against
 /// each other exactly when they denote the same semantic point, which
 /// interning-order-dependent handles cannot guarantee across processes.
-/// Keyless units are always applied by the reconciliation.
+/// Keyless units are always applied by the fold.
 struct ObKey {
   static constexpr uint32_t NoDedup = UINT32_MAX;
   uint32_t Tag = NoDedup;
@@ -92,13 +97,13 @@ struct ObKey {
   }
 };
 
-/// One reconciliation-atomic group of obligations: every obligation that
+/// One fold-atomic group of obligations: every obligation that
 /// shares one dedup decision (or a keyless singleton). Jobs emit units in
 /// the exact order the serial checker loop evaluates them.
 struct ObUnit {
   /// Cap on diagnostics carried per unit. Equals CheckResult::MaxIssues
-  /// (statically asserted in the .cpp): the reconciliation retains at
-  /// most that many per channel, so carrying more would be waste.
+  /// (statically asserted in the .cpp): the fold retains at most that
+  /// many per channel, so carrying more would be waste.
   static constexpr size_t MaxIssues = 8;
 
   ObKey Key;
@@ -117,7 +122,7 @@ struct ObUnit {
 /// sink for the duration of the call.
 class ObSink {
 public:
-  /// Opens a unit. Units are reconciliation-atomic: either every
+  /// Opens a unit. Units are fold-atomic: either every
   /// obligation recorded until the next begin() counts, or none does.
   void begin(ObKey Key = ObKey(), uint8_t Channel = 0) {
     Units.push_back({Key, Channel, 0, 0, {}});
@@ -151,7 +156,7 @@ struct ObligationStats {
   struct Bucket {
     size_t Jobs = 0;
     size_t Units = 0;
-    /// Units discarded by the dedup reconciliation (speculative work).
+    /// Units discarded by the dedup fold (speculative work).
     size_t UnitsDeduped = 0;
     size_t Obligations = 0;
     size_t Failures = 0;
@@ -168,8 +173,8 @@ struct ObligationStats {
   Bucket PerCondition[NumObConditions];
   /// Verdict-cache accounting, obligation-weighted: every obligation a
   /// keyed job would have evaluated counts as a hit (replayed from the
-  /// cache) or a miss (evaluated, then recorded). Weighed *before* dedup
-  /// reconciliation — the cache works at job granularity, so speculative
+  /// cache) or a miss (evaluated, then recorded). Weighed *before* the
+  /// dedup fold — the cache works at job granularity, so speculative
   /// units replay like everything else. Zero when no cache is attached.
   struct CacheStats {
     uint64_t Hits = 0;
@@ -200,7 +205,7 @@ struct ObligationStats {
 ///   Sched.run();
 ///   CheckResult R = Sched.result(G);
 ///
-/// Jobs across all groups share one pool; groups reconcile independently.
+/// Jobs across all groups share one pool; groups fold independently.
 /// run() may be called once per scheduler instance.
 class ObligationScheduler {
 public:
@@ -243,7 +248,9 @@ public:
   /// the cache must outlive the scheduler. Null detaches.
   void setCache(ObligationCache *C) { Cache = C; }
 
-  /// Runs every submitted job on the pool, then reconciles each group.
+  /// Runs every submitted job on the pool, folding each into its group
+  /// once every earlier-submitted job has been folded. Rethrows the first
+  /// exception a job throws (after the pool has stopped).
   void run();
 
   /// Annotates \p Condition's bucket with its quantifier universe under
@@ -262,7 +269,9 @@ public:
 
 private:
   struct JobSlot;
-  void reconcile(Group &G);
+  /// Folds job \p JobIdx's units into its group and frees them. Jobs are
+  /// folded exactly once each, in index order.
+  void fold(size_t JobIdx);
 
   unsigned Threads;
   std::deque<Group> Groups;

@@ -6,10 +6,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <deque>
-#include <thread>
 
 using namespace isq;
 using namespace isq::engine;
@@ -112,189 +110,19 @@ uint64_t cacheKey(uint32_t Serial, uint32_t Id) {
 
 std::atomic<uint32_t> NextArenaSerial{1};
 
-/// The spill accountant is process-global: one verify run builds several
-/// arenas (the IS universe, two cross-check explorations, refinement),
-/// and the memory budget caps their *combined* hot encoded bytes, not
-/// each arena's. Every spilling arena adds on intern, subtracts on evict
-/// and settles its remainder at destruction.
-std::atomic<uint64_t> GlobalHotBytes{0};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // StateArena
 //===----------------------------------------------------------------------===//
 
-StateArena::StateArena(unsigned Shards, bool Compress,
-                       const SpillOptions &Spill)
+StateArena::StateArena(unsigned Shards, bool Compress)
     : NumShardsRt(Shards), Compress(Compress),
       Serial(NextArenaSerial.fetch_add(1, std::memory_order_relaxed)) {
   assert(Shards >= 1 && Shards <= MaxShards &&
          (Shards & (Shards - 1)) == 0 && "shard count must be a power of "
                                          "two in [1, 16]");
-  // Only the compact store holds encoded bytes to spill; the config
-  // layer rejects spill without compress, so silently staying hot here
-  // only affects direct construction in tests.
-  if (Spill.Enabled && Compress) {
-    SpillEnabled = true;
-    MemBudget = Spill.MemBudget;
-    Cold = std::make_unique<ColdStore>(Spill.Dir + "/arena-" +
-                                       std::to_string(Serial));
-  }
   EmptyPaSet = internPaVec({});
-}
-
-StateArena::~StateArena() {
-  if (SpillEnabled)
-    GlobalHotBytes.fetch_sub(HotBytes.load(std::memory_order_relaxed),
-                             std::memory_order_relaxed);
-}
-
-//===----------------------------------------------------------------------===//
-// Tiered store: append bookkeeping, pinned reads, clock eviction
-//===----------------------------------------------------------------------===//
-
-template <typename Item>
-void StateArena::noteAppend(BlockStore<Item> &Items, SpillState &Sp,
-                            size_t Local) {
-  if (!SpillEnabled)
-    return;
-  if (Local % SpillBlockItems == 0)
-    Sp.Meta.push_back(SpillMeta());
-  if (Local % SpillBlockItems == SpillBlockItems - 1) {
-    // The block is full: record its payload size and seal it. Sealing
-    // happens under the shard mutex, so Bytes is published to the
-    // evictor by the Sealed transition below.
-    size_t BlockIdx = Local / SpillBlockItems;
-    SpillMeta &M = Sp.Meta[BlockIdx];
-    uint64_t Bytes = 0;
-    for (size_t I = BlockIdx * SpillBlockItems; I <= Local; ++I)
-      Bytes += Items[I].Encoded.size();
-    M.Bytes = Bytes;
-    M.State.store(SpillMeta::Sealed, std::memory_order_release);
-  }
-}
-
-template <typename Item, typename Fn>
-auto StateArena::withEncoded(const Shard<Item> &Sh, const SpillState &Sp,
-                             size_t Local, Fn &&F) const {
-  if (!SpillEnabled) {
-    const std::string &E = Sh.Items[Local].Encoded;
-    return F(E.data(), E.data() + E.size());
-  }
-  const SpillMeta &M = Sp.Meta[Local / SpillBlockItems];
-  M.Referenced.store(true, std::memory_order_relaxed);
-  // seq_cst pin/state pairing against the evictor's state/pin pairing:
-  // either the evictor sees our pin and waits, or we see Evicted and
-  // take the cold path — never both misses (the store-buffering outcome
-  // is forbidden under seq_cst).
-  M.Pins.fetch_add(1, std::memory_order_seq_cst);
-  if (M.State.load(std::memory_order_seq_cst) != SpillMeta::Evicted) {
-    struct Unpin {
-      const SpillMeta &M;
-      ~Unpin() { M.Pins.fetch_sub(1, std::memory_order_release); }
-    } Guard{M};
-    const std::string &E = Sh.Items[Local].Encoded;
-    return F(E.data(), E.data() + E.size());
-  }
-  M.Pins.fetch_sub(1, std::memory_order_release);
-  // Cold fault: the mapping is immortal for the arena's lifetime, so no
-  // pin is needed. The first fault of a block verifies its checksum.
-  auto Start = std::chrono::steady_clock::now();
-  bool FirstFault = M.ColdVerified.load(std::memory_order_acquire) == 0;
-  ColdStore::MappedBlock B = Cold->map(M.ColdRef, FirstFault);
-  if (FirstFault) {
-    M.ColdVerified.store(1, std::memory_order_release);
-    BlocksFaultedCtr.fetch_add(1, std::memory_order_relaxed);
-  }
-  size_t Slot = Local % SpillBlockItems;
-  const char *Begin = B.Payload + (Slot ? B.Ends[Slot - 1] : 0);
-  const char *End = B.Payload + B.Ends[Slot];
-  FaultStallNanosCtr.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - Start)
-              .count()),
-      std::memory_order_relaxed);
-  return F(Begin, End);
-}
-
-template <typename Item>
-bool StateArena::evictBlock(Shard<Item> &Sh, SpillState &Sp,
-                            size_t BlockIdx) {
-  SpillMeta &M = Sp.Meta[BlockIdx];
-  size_t First = BlockIdx * SpillBlockItems;
-  std::vector<uint32_t> Ends;
-  Ends.reserve(SpillBlockItems);
-  std::string Payload;
-  Payload.reserve(M.Bytes);
-  for (size_t I = 0; I < SpillBlockItems; ++I) {
-    Payload.append(Sh.Items[First + I].Encoded);
-    Ends.push_back(static_cast<uint32_t>(Payload.size()));
-  }
-  // A pathological block bigger than a segment stays hot (best effort)
-  // rather than aborting the run.
-  if (Payload.size() + 4 * SpillBlockItems + 64 > ColdStore::SegmentCapacity)
-    return false;
-  M.ColdRef = Cold->appendBlock(Ends, Payload.data(), Payload.size());
-  M.State.store(SpillMeta::Evicted, std::memory_order_seq_cst);
-  // Readers that pinned before the flip may still be on the hot strings;
-  // drain them before freeing. New readers see Evicted and go cold.
-  while (M.Pins.load(std::memory_order_seq_cst) != 0)
-    std::this_thread::yield();
-  for (size_t I = 0; I < SpillBlockItems; ++I)
-    std::string().swap(Sh.Items[First + I].Encoded);
-  HotBytes.fetch_sub(M.Bytes, std::memory_order_relaxed);
-  GlobalHotBytes.fetch_sub(M.Bytes, std::memory_order_relaxed);
-  BlocksEvictedCtr.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void StateArena::maybeSpill() {
-  if (!SpillEnabled ||
-      GlobalHotBytes.load(std::memory_order_relaxed) <= MemBudget)
-    return;
-  std::unique_lock<std::mutex> Lock(EvictMutex, std::try_to_lock);
-  if (!Lock.owns_lock())
-    return; // someone else is evicting
-  // Clock sweep with second chance: the first pass over a referenced
-  // block clears the bit, the second pass evicts it. Two full sweeps
-  // without reaching the budget mean nothing more is evictable (tail
-  // blocks are unsealed, the rest already cold) — the budget is best
-  // effort, never a livelock.
-  for (unsigned Sweep = 0; Sweep < 2; ++Sweep) {
-    for (unsigned Kind = 0; Kind < 2; ++Kind) {
-      for (unsigned S = 0; S < NumShardsRt; ++S) {
-        if (GlobalHotBytes.load(std::memory_order_relaxed) <= MemBudget)
-          return;
-        size_t Blocks;
-        {
-          std::mutex &ShardM =
-              Kind == 0 ? StoreShards[S].M : PaSetShards[S].M;
-          std::lock_guard<std::mutex> G(ShardM);
-          Blocks = (Kind == 0 ? StoreSpill[S] : PaSetSpill[S]).Meta.size();
-        }
-        SpillState &Sp = Kind == 0 ? StoreSpill[S] : PaSetSpill[S];
-        size_t &Hand = ClockPos[Kind][S];
-        for (size_t N = 0; N < Blocks; ++N) {
-          if (GlobalHotBytes.load(std::memory_order_relaxed) <= MemBudget)
-            return;
-          size_t B = Hand++ % Blocks;
-          SpillMeta &M = Sp.Meta[B];
-          if (M.State.load(std::memory_order_acquire) != SpillMeta::Sealed)
-            continue;
-          if (M.Pins.load(std::memory_order_acquire) != 0)
-            continue;
-          if (M.Referenced.exchange(false, std::memory_order_relaxed))
-            continue; // second chance
-          if (Kind == 0)
-            evictBlock(StoreShards[S], Sp, B);
-          else
-            evictBlock(PaSetShards[S], Sp, B);
-        }
-      }
-    }
-  }
 }
 
 StoreId StateArena::internStore(const Store &S) {
@@ -305,51 +133,29 @@ StoreId StateArena::internStore(const Store &S) {
     Encoded = encodeStore(S); // encode outside the lock
   size_t SIdx = shardFor(Hash);
   auto &Shard = StoreShards[SIdx];
-  StoreId Result;
-  {
-    std::lock_guard<std::mutex> Lock(Shard.M);
-    std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
-    for (uint32_t Local : Bucket) {
-      const StoreItem &Item = Shard.Items[Local];
-      // Canonical encodings make byte equality value equality. In spill
-      // mode the candidate's bytes may live in the cold tier.
-      bool Equal =
-          Compress
-              ? withEncoded(Shard, StoreSpill[SIdx], Local,
-                            [&](const char *B, const char *E) {
-                              return static_cast<size_t>(E - B) ==
-                                         Encoded.size() &&
-                                     std::memcmp(B, Encoded.data(),
-                                                 Encoded.size()) == 0;
-                            })
-              : Item.Value == S;
-      if (Equal) {
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return makeId(SIdx, Local);
-      }
+  std::lock_guard<std::mutex> Lock(Shard.M);
+  std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
+  for (uint32_t Local : Bucket) {
+    const StoreItem &Item = Shard.Items[Local];
+    // Canonical encodings make byte equality value equality.
+    if (Compress ? Item.Encoded == Encoded : Item.Value == S) {
+      Hits.fetch_add(1, std::memory_order_relaxed);
+      return makeId(SIdx, Local);
     }
-    StoreItem Item;
-    Item.ValueHash = Hash;
-    if (Compress) {
-      CompressedBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      if (SpillEnabled) {
-        HotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-        GlobalHotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      }
-      Item.Encoded = std::move(Encoded);
-    } else {
-      Item.Value = S;
-    }
-    size_t Local = Shard.Items.push_back(std::move(Item));
-    if (!Compress)
-      Shard.Items[Local].Value.hash(); // memoize before sharing
-    else
-      noteAppend(Shard.Items, StoreSpill[SIdx], Local);
-    Bucket.push_back(static_cast<uint32_t>(Local));
-    Result = makeId(SIdx, Local);
   }
-  maybeSpill(); // outside the shard mutex
-  return Result;
+  StoreItem Item;
+  Item.ValueHash = Hash;
+  if (Compress) {
+    CompressedBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
+    Item.Encoded = std::move(Encoded);
+  } else {
+    Item.Value = S;
+  }
+  size_t Local = Shard.Items.push_back(std::move(Item));
+  if (!Compress)
+    Shard.Items[Local].Value.hash(); // memoize before sharing
+  Bucket.push_back(static_cast<uint32_t>(Local));
+  return makeId(SIdx, Local);
 }
 
 PaId StateArena::internPa(const PendingAsync &PA) {
@@ -403,49 +209,28 @@ PaSetId StateArena::internPaVec(PaCountVec Vec) {
     Encoded = encodePaVec(Vec);
   size_t SIdx = shardFor(Hash);
   auto &Shard = PaSetShards[SIdx];
-  PaSetId Result;
-  {
-    std::lock_guard<std::mutex> Lock(Shard.M);
-    std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
-    for (uint32_t Local : Bucket) {
-      const PaSetItem &Item = Shard.Items[Local];
-      bool Equal =
-          Compress
-              ? withEncoded(Shard, PaSetSpill[SIdx], Local,
-                            [&](const char *B, const char *E) {
-                              return static_cast<size_t>(E - B) ==
-                                         Encoded.size() &&
-                                     std::memcmp(B, Encoded.data(),
-                                                 Encoded.size()) == 0;
-                            })
-              : Item.Vec == Vec;
-      if (Equal) {
-        Hits.fetch_add(1, std::memory_order_relaxed);
-        return makeId(SIdx, Local);
-      }
+  std::lock_guard<std::mutex> Lock(Shard.M);
+  std::vector<uint32_t> &Bucket = Shard.Buckets[Hash];
+  for (uint32_t Local : Bucket) {
+    const PaSetItem &Item = Shard.Items[Local];
+    if (Compress ? Item.Encoded == Encoded : Item.Vec == Vec) {
+      Hits.fetch_add(1, std::memory_order_relaxed);
+      return makeId(SIdx, Local);
     }
-    PaSetItem Item;
-    // pa() reads are lock-free, so computing the value hash under this
-    // shard's mutex cannot deadlock.
-    Item.ValueHash = paValueHash(Vec);
-    if (Compress) {
-      CompressedBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      if (SpillEnabled) {
-        HotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-        GlobalHotBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
-      }
-      Item.Encoded = std::move(Encoded);
-    } else {
-      Item.Vec = std::move(Vec);
-    }
-    size_t Local = Shard.Items.push_back(std::move(Item));
-    if (Compress)
-      noteAppend(Shard.Items, PaSetSpill[SIdx], Local);
-    Bucket.push_back(static_cast<uint32_t>(Local));
-    Result = makeId(SIdx, Local);
   }
-  maybeSpill();
-  return Result;
+  PaSetItem Item;
+  // pa() reads are lock-free, so computing the value hash under this
+  // shard's mutex cannot deadlock.
+  Item.ValueHash = paValueHash(Vec);
+  if (Compress) {
+    CompressedBytes.fetch_add(Encoded.size(), std::memory_order_relaxed);
+    Item.Encoded = std::move(Encoded);
+  } else {
+    Item.Vec = std::move(Vec);
+  }
+  size_t Local = Shard.Items.push_back(std::move(Item));
+  Bucket.push_back(static_cast<uint32_t>(Local));
+  return makeId(SIdx, Local);
 }
 
 ConfigId StateArena::internConfig(StoreId G, PaSetId Omega) {
@@ -481,11 +266,7 @@ const Store &StateArena::store(StoreId Id) const {
   uint64_t Key = cacheKey(Serial, Id);
   if (const Store *Hit = Cache.find(Key))
     return *Hit;
-  return Cache.insert(
-      Key, withEncoded(StoreShards[shardOf(Id)], StoreSpill[shardOf(Id)],
-                       localOf(Id), [](const char *B, const char *E) {
-                         return decodeStore(B, E);
-                       }));
+  return Cache.insert(Key, decodeStore(Item.Encoded));
 }
 
 const PendingAsync &StateArena::pa(PaId Id) const {
@@ -500,11 +281,7 @@ const PaCountVec &StateArena::paVec(PaSetId Id) const {
   uint64_t Key = cacheKey(Serial, Id);
   if (const PaCountVec *Hit = Cache.find(Key))
     return *Hit;
-  return Cache.insert(
-      Key, withEncoded(PaSetShards[shardOf(Id)], PaSetSpill[shardOf(Id)],
-                       localOf(Id), [](const char *B, const char *E) {
-                         return decodePaVec(B, E);
-                       }));
+  return Cache.insert(Key, decodePaVec(Item.Encoded));
 }
 
 PaMultiset StateArena::materialize(const PaCountVec &Vec) const {
@@ -606,12 +383,5 @@ ArenaStats StateArena::stats() const {
   S.Lookups = Lookups.load(std::memory_order_relaxed);
   S.Hits = Hits.load(std::memory_order_relaxed);
   S.CompressedBytes = CompressedBytes.load(std::memory_order_relaxed);
-  S.SpillEnabled = SpillEnabled;
-  S.MemBudget = MemBudget;
-  S.BytesHot = SpillEnabled ? HotBytes.load(std::memory_order_relaxed) : 0;
-  S.BytesCold = Cold ? Cold->bytesWritten() : 0;
-  S.BlocksEvicted = BlocksEvictedCtr.load(std::memory_order_relaxed);
-  S.BlocksFaulted = BlocksFaultedCtr.load(std::memory_order_relaxed);
-  S.FaultStallNanos = FaultStallNanosCtr.load(std::memory_order_relaxed);
   return S;
 }

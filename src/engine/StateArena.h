@@ -33,23 +33,11 @@
 /// configuration dependence. Handles are only meaningful relative to the
 /// arena that issued them.
 ///
-/// Tiered store (--engine spill=true). In compact mode the encoded bytes
-/// can additionally spill to an mmap-backed cold tier (engine/ColdStore.h)
-/// under a global memory budget: consecutive runs of SpillBlockItems
-/// local ids form an eviction block; once the block is full it is sealed,
-/// and a clock sweep may write its bytes to a checksummed segment file
-/// and free the hot copies. Handles, hashes, bucket chains and every
-/// accessor's result are untouched — only where the bytes live changes,
-/// so verdicts, counts, traces and frontier_peak stay bit-identical with
-/// spilling on or off (see DESIGN.md "Tiered state store" for the
-/// pin/evict publication argument).
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef ISQ_ENGINE_STATEARENA_H
 #define ISQ_ENGINE_STATEARENA_H
 
-#include "engine/ColdStore.h"
 #include "semantics/Configuration.h"
 #include "support/Hashing.h"
 
@@ -110,21 +98,6 @@ struct ArenaStats {
   /// interning order, so the byte total is not deterministic across
   /// thread counts.
   size_t CompressedBytes = 0;
-  /// Tiered-store observability (all zero unless --engine spill=true).
-  /// Every field below is telemetry — eviction and fault timing depend on
-  /// scheduling, never on verdicts.
-  bool SpillEnabled = false;
-  uint64_t MemBudget = 0;
-  /// Encoded bytes currently resident in the hot tier / written to the
-  /// cold tier (record framing included).
-  uint64_t BytesHot = 0;
-  uint64_t BytesCold = 0;
-  uint64_t BlocksEvicted = 0;
-  /// Cold blocks touched after eviction (each counted once, at its
-  /// checksum-verifying first fault) and the total wall time readers
-  /// spent on the cold path.
-  uint64_t BlocksFaulted = 0;
-  uint64_t FaultStallNanos = 0;
 };
 
 /// Append-only item storage with lock-free indexing: items live in
@@ -198,38 +171,14 @@ public:
   static constexpr unsigned MaxShards = 16;
   /// Per-thread, per-kind decode cache capacity in compact mode.
   static constexpr size_t DecodeCacheCapacity = 8192;
-  /// Consecutive local ids per eviction block in spill mode. A block
-  /// seals when its last id is interned; only sealed, unpinned blocks
-  /// spill to the cold tier. Small enough that a moderately occupied
-  /// shard seals blocks (hash-consing keeps distinct stores per shard in
-  /// the thousands even for 10^5-state explorations), large enough that
-  /// a cold fault amortizes its record header and checksum over many
-  /// items.
-  static constexpr size_t SpillBlockItems = 512;
-
-  /// Cold-tier settings (effective only together with compact mode; the
-  /// config layer rejects spill without compress).
-  struct SpillOptions {
-    bool Enabled = false;
-    /// Base spill directory; the arena creates an `arena-<serial>`
-    /// subdirectory so concurrent arenas never share segment files.
-    std::string Dir;
-    /// Process-global hot-byte budget driving eviction.
-    uint64_t MemBudget = 0;
-  };
-
   /// \p Shards must be a power of two in [1, MaxShards]. \p Compress
   /// selects the compact (encoded) representation.
-  explicit StateArena(unsigned Shards = MaxShards, bool Compress = false)
-      : StateArena(Shards, Compress, SpillOptions()) {}
-  StateArena(unsigned Shards, bool Compress, const SpillOptions &Spill);
+  explicit StateArena(unsigned Shards = MaxShards, bool Compress = false);
   StateArena(const StateArena &) = delete;
   StateArena &operator=(const StateArena &) = delete;
-  ~StateArena();
 
   unsigned shards() const { return NumShardsRt; }
   bool compressed() const { return Compress; }
-  bool spilling() const { return SpillEnabled; }
 
   // Interning --------------------------------------------------------------
 
@@ -330,56 +279,6 @@ private:
     BlockStore<Item> Items;
   };
 
-  /// Eviction bookkeeping for one block of SpillBlockItems consecutive
-  /// local ids (spill mode only). The reader/evictor protocol:
-  ///  - readers pin, then load State; Hot/Sealed reads the item's hot
-  ///    string under the pin, Cold unpins and reads the immortal mmap;
-  ///  - the evictor writes the record, publishes the ColdRef, flips
-  ///    State to Cold, then spins until Pins drains before freeing the
-  ///    hot strings. Pin increments and State transitions are seq_cst so
-  ///    the store-buffering outcome (a reader holding a pin on freed
-  ///    bytes while the evictor saw zero pins) is impossible.
-  struct SpillMeta {
-    static constexpr uint32_t Hot = 0, Sealed = 1, Evicted = 2;
-    mutable std::atomic<uint32_t> State{Hot};
-    mutable std::atomic<uint32_t> Pins{0};
-    /// Clock second-chance bit, set on every read of the block.
-    mutable std::atomic<bool> Referenced{false};
-    /// Set once by the first faulting reader after checksum verification.
-    mutable std::atomic<uint32_t> ColdVerified{0};
-    /// Valid once State == Evicted (published by the State transition).
-    ColdStore::BlockRef ColdRef;
-    /// Hot payload bytes of the sealed block (for the accountant).
-    uint64_t Bytes = 0;
-
-    SpillMeta() = default;
-    SpillMeta(SpillMeta &&O) noexcept
-        : State(O.State.load(std::memory_order_relaxed)),
-          Pins(O.Pins.load(std::memory_order_relaxed)),
-          Referenced(O.Referenced.load(std::memory_order_relaxed)),
-          ColdVerified(O.ColdVerified.load(std::memory_order_relaxed)),
-          ColdRef(O.ColdRef), Bytes(O.Bytes) {}
-    SpillMeta &operator=(SpillMeta &&O) noexcept {
-      State.store(O.State.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-      Pins.store(O.Pins.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-      Referenced.store(O.Referenced.load(std::memory_order_relaxed),
-                       std::memory_order_relaxed);
-      ColdVerified.store(O.ColdVerified.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-      ColdRef = O.ColdRef;
-      Bytes = O.Bytes;
-      return *this;
-    }
-  };
-
-  /// Per-shard eviction metadata for one byte-holding table; entries are
-  /// appended under the owning shard's mutex, read lock-free.
-  struct SpillState {
-    BlockStore<SpillMeta> Meta;
-  };
-
   Shard<StoreItem> StoreShards[MaxShards];
   Shard<PendingAsync> PaShards[MaxShards];
   Shard<PaSetItem> PaSetShards[MaxShards];
@@ -394,9 +293,6 @@ private:
   };
   ConfigShard ConfigShards[MaxShards];
 
-  SpillState StoreSpill[MaxShards];
-  SpillState PaSetSpill[MaxShards];
-
   unsigned NumShardsRt;
   bool Compress;
   /// Distinguishes arenas in the per-thread decode caches.
@@ -408,41 +304,11 @@ private:
   mutable std::atomic<size_t> Hits{0};
   std::atomic<size_t> CompressedBytes{0};
 
-  // Tiered store (spill mode only).
-  bool SpillEnabled = false;
-  uint64_t MemBudget = 0;
-  std::unique_ptr<ColdStore> Cold;
-  /// This arena's hot encoded bytes (the global accountant additionally
-  /// sums across live arenas — see StateArena.cpp).
-  std::atomic<uint64_t> HotBytes{0};
-  std::atomic<uint64_t> BlocksEvictedCtr{0};
-  mutable std::atomic<uint64_t> BlocksFaultedCtr{0};
-  mutable std::atomic<uint64_t> FaultStallNanosCtr{0};
-  /// One evictor at a time; interning threads try-lock and move on.
-  std::mutex EvictMutex;
-  /// Clock hands: [kind][shard] -> next block index to consider
-  /// (kind 0 = stores, 1 = PA-bags).
-  size_t ClockPos[2][MaxShards] = {};
-
   static size_t hashPaCountVec(const PaCountVec &Vec);
   size_t paValueHash(const PaCountVec &Vec) const;
   PaMultiset materialize(const PaCountVec &Vec) const;
   std::vector<PaId> orderOf(const PaCountVec &Vec) const;
 
-  /// Appends spill metadata / seals the block after item \p Local landed
-  /// in \p Items (caller holds the shard mutex).
-  template <typename Item>
-  void noteAppend(BlockStore<Item> &Items, SpillState &Sp, size_t Local);
-  /// Invokes \p F(Begin, End) on the encoded bytes of item \p Local,
-  /// transparently reading the hot string or the cold mmap.
-  template <typename Item, typename Fn>
-  auto withEncoded(const Shard<Item> &Sh, const SpillState &Sp, size_t Local,
-                   Fn &&F) const;
-  /// Evicts sealed blocks until the global accountant is under budget
-  /// (best effort; called outside any shard mutex).
-  void maybeSpill();
-  template <typename Item>
-  bool evictBlock(Shard<Item> &Sh, SpillState &Sp, size_t BlockIdx);
 };
 
 /// A set of explored configurations over a shared arena: the interned

@@ -107,13 +107,6 @@ void EngineStats::accumulate(const EngineStats &Other) {
   Shards = std::max(Shards, Other.Shards);
   ShardOccupancy = std::max(ShardOccupancy, Other.ShardOccupancy);
   CompressedBytes = std::max(CompressedBytes, Other.CompressedBytes);
-  SpillEnabled = SpillEnabled || Other.SpillEnabled;
-  MemBudget = std::max(MemBudget, Other.MemBudget);
-  BytesHot = std::max(BytesHot, Other.BytesHot);
-  BytesCold = std::max(BytesCold, Other.BytesCold);
-  BlocksEvicted += Other.BlocksEvicted;
-  BlocksFaulted += Other.BlocksFaulted;
-  FaultStallNanos += Other.FaultStallNanos;
   ExpandSeconds += Other.ExpandSeconds;
   MergeSeconds += Other.MergeSeconds;
   TotalSeconds += Other.TotalSeconds;
@@ -801,14 +794,9 @@ StateGraph engine::exploreGraph(const Program &P,
                                 const std::vector<Configuration> &Inits,
                                 std::shared_ptr<StateArena> Arena,
                                 const EngineOptions &Opts) {
-  if (!Arena) {
-    StateArena::SpillOptions Spill;
-    Spill.Enabled = Opts.Config.Spill;
-    Spill.Dir = Opts.Config.SpillDir;
-    Spill.MemBudget = Opts.Config.MemBudget;
+  if (!Arena)
     Arena = std::make_shared<StateArena>(Opts.Config.Shards,
-                                         Opts.Config.Compress, Spill);
-  }
+                                         Opts.Config.Compress);
   StateGraph G;
   GraphAccess::arena(G) = Arena;
   ArenaStats Before = Arena->stats();
@@ -834,13 +822,6 @@ StateGraph engine::exploreGraph(const Program &P,
   Stats.Shards = After.Shards;
   Stats.ShardOccupancy = After.ShardOccupancy;
   Stats.CompressedBytes = After.CompressedBytes;
-  Stats.SpillEnabled = After.SpillEnabled;
-  Stats.MemBudget = After.MemBudget;
-  Stats.BytesHot = After.BytesHot;
-  Stats.BytesCold = After.BytesCold;
-  Stats.BlocksEvicted = After.BlocksEvicted;
-  Stats.BlocksFaulted = After.BlocksFaulted;
-  Stats.FaultStallNanos = After.FaultStallNanos;
   if (!E.Sym)
     Stats.OrbitStatesRepresented = Stats.NumConfigurations;
   return G;

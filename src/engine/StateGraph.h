@@ -93,18 +93,6 @@ struct EngineStats {
   unsigned ShardOccupancy = 0;
   size_t CompressedBytes = 0;
 
-  // Tiered store (--engine spill=true). BytesHot/BytesCold are the hot
-  // encoded bytes and cold segment bytes at end of run; the eviction and
-  // fault counters are telemetry (eviction timing depends on allocation
-  // order across threads), never inputs to a verdict.
-  bool SpillEnabled = false;
-  uint64_t MemBudget = 0;
-  uint64_t BytesHot = 0;
-  uint64_t BytesCold = 0;
-  uint64_t BlocksEvicted = 0;
-  uint64_t BlocksFaulted = 0;
-  uint64_t FaultStallNanos = 0;
-
   // Per-phase wall time (support/Timer).
   double ExpandSeconds = 0;
   double MergeSeconds = 0;

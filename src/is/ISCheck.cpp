@@ -23,12 +23,8 @@ ISUniverse ISUniverse::build(const ISApplication &App,
                              const std::vector<InitialCondition> &Inits,
                              const ExploreOptions &Opts) {
   ISUniverse U;
-  StateArena::SpillOptions Spill;
-  Spill.Enabled = Opts.Config.Spill;
-  Spill.Dir = Opts.Config.SpillDir;
-  Spill.MemBudget = Opts.Config.MemBudget;
   U.Space.Arena = std::make_shared<StateArena>(Opts.Config.Shards,
-                                               Opts.Config.Compress, Spill);
+                                               Opts.Config.Compress);
   EngineOptions EO;
   EO.MaxConfigurations = Opts.MaxConfigurations;
   EO.StopAtFirstFailure = Opts.StopAtFirstFailure;
@@ -494,12 +490,8 @@ ISCheckReport checkISScheduled(const ISApplication &App,
 
   StateSpace Space = Universe.Space;
   if (!Space.Arena) {
-    StateArena::SpillOptions Spill;
-    Spill.Enabled = Config.Spill;
-    Spill.Dir = Config.SpillDir;
-    Spill.MemBudget = Config.MemBudget;
     Space.Arena = std::make_shared<StateArena>(Config.Shards,
-                                               Config.Compress, Spill);
+                                               Config.Compress);
     Space.Configs.reserve(Universe.Configs.size());
     for (const Configuration &C : Universe.Configs)
       if (!C.isFailure())

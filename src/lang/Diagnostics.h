@@ -6,8 +6,8 @@
 /// pipeline) and by the drivers that render them (isq-verify text/JSON,
 /// isq-serve error marshalling).
 ///
-/// A FrontendDiagnostic is an aggregate whose leading fields are the
-/// historical {Message, Line, Column} triple, so stage code keeps pushing
+/// A FrontendDiagnostic's leading fields are the historical
+/// {Message, Line, Column} triple, so stage code keeps pushing
 /// `{"message", L, C}`; richer producers additionally fill the severity,
 /// the owning file, an end position (turning the location into a span)
 /// and an optional note. File identity travels as a SourceManager id
@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace isq {
@@ -46,11 +47,21 @@ struct SourceLoc {
 
 /// A source-located diagnostic message.
 struct FrontendDiagnostic {
+  FrontendDiagnostic() = default;
+  /// Brace spellings list the fields in declaration order; every field
+  /// left out keeps its default.
+  FrontendDiagnostic(std::string Message, unsigned Line = 0,
+                     unsigned Column = 0, Severity Sev = Severity::Error,
+                     uint32_t File = 0, unsigned EndLine = 0,
+                     unsigned EndColumn = 0, std::string FileName = {},
+                     std::string Note = {})
+      : Message(std::move(Message)), Line(Line), Column(Column), Sev(Sev),
+        File(File), EndLine(EndLine), EndColumn(EndColumn),
+        FileName(std::move(FileName)), Note(std::move(Note)) {}
+
   std::string Message;
   unsigned Line = 0;
   unsigned Column = 0;
-  /// --- fields below are value-initialized by the historical
-  /// {Message, Line, Column} aggregate spelling ---
   Severity Sev = Severity::Error;
   /// SourceManager file id of the owning file (0 = main input).
   uint32_t File = 0;

@@ -185,39 +185,13 @@ TEST(CliTest, EngineFlagRejectsMalformedSpecs) {
               "empty item in engine option list");
 }
 
-TEST(CliTest, EngineSpillKnobsParse) {
-  CliParse P = parse({"x.asl", "--eliminate", "A", "--engine",
-                      "compress=true,spill=true,spill-dir=/tmp/s,"
-                      "mem-budget=64M"});
-  ASSERT_TRUE(P.Ok) << P.Error;
-  const engine::EngineConfig &E = P.Options.Verify.Engine;
-  EXPECT_TRUE(E.Spill);
-  EXPECT_EQ(E.SpillDir, "/tmp/s");
-  EXPECT_EQ(E.MemBudget, 64ull << 20);
-}
-
-TEST(CliTest, EngineSpillConflictsAreDiagnosed) {
-  // Each incoherent knob combination has a targeted diagnostic; none is
-  // silently ignored or "fixed up".
-  expectError({"x.asl", "--eliminate", "A", "--engine", "spill-dir=/tmp/s"},
-              "'spill-dir' has no effect without");
-  expectError({"x.asl", "--eliminate", "A", "--engine", "mem-budget=64M"},
-              "'mem-budget' has no effect without");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "spill=true,spill-dir=/tmp/s,mem-budget=64M"},
-              "requires 'compress=true'");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "compress=true,spill=true,mem-budget=64M"},
-              "requires 'spill-dir=PATH'");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "compress=true,spill=true,spill-dir=/tmp/s"},
-              "requires 'mem-budget=BYTES'");
-  expectError({"x.asl", "--eliminate", "A", "--engine",
-               "compress=true,spill=true,spill-dir=/tmp/s,mem-budget=64M,"
-               "cache-dir=/tmp/s"},
-              "must name different directories");
-  expectError({"x.asl", "--engine", "mem-budget=0"}, "positive byte count");
-  expectError({"x.asl", "--engine", "mem-budget=64Q"}, "positive byte count");
+TEST(CliTest, RetiredSpillKnobsAreUnknown) {
+  // The spill tier is gone; its keys are diagnosed like any unknown key,
+  // never silently ignored.
+  for (const char *Item :
+       {"spill=true", "spill-dir=/tmp/s", "mem-budget=64M"})
+    expectError({"x.asl", "--eliminate", "A", "--engine", Item},
+                "unknown engine option");
 }
 
 TEST(CliTest, DeprecatedAliasesStillSetTheEngineConfig) {

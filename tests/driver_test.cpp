@@ -7,12 +7,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/ReportRender.h"
 #include "driver/VerifyDriver.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <regex>
 #include <sstream>
+
+#include <unistd.h>
 
 using namespace isq;
 using namespace isq::driver;
@@ -290,6 +294,51 @@ TEST(DriverTest, ShippedPaxosExampleVerifies) {
   Options.Weights = {{"StartRound", 9}, {"Propose", 5}, {"Conclude", 2}};
   VerifyResult Result = verifyModule(Options);
   EXPECT_TRUE(Result.Accepted) << Result.Summary;
+}
+
+TEST(DriverTest, OneShotRunAttachesNoCacheAndMatchesColdCacheDirRun) {
+  // Without a cache directory nothing can reuse a verdict cache, so the
+  // driver attaches none; the verdict itself must not notice.
+  VerifyOptions Options;
+  Options.Source = readExampleAsl("paxos.asl");
+  Options.Consts = {{"R", 2}, {"N", 2}};
+  Options.Eliminate = {"StartRound", "Join", "Propose", "Vote",
+                       "Conclude"};
+  Options.Order = VerifyOptions::RankOrder::ArgMajor;
+  Options.Abstractions = {{"Join", "JoinAbs"},
+                          {"Propose", "ProposeAbs"},
+                          {"Vote", "VoteAbs"},
+                          {"Conclude", "ConcludeAbs"}};
+  Options.Weights = {{"StartRound", 9}, {"Propose", 5}, {"Conclude", 2}};
+  VerifyResult OneShot = verifyModule(Options);
+  ASSERT_TRUE(OneShot.Accepted) << OneShot.Summary;
+  EXPECT_FALSE(OneShot.Report.Scheduler.Cache.Enabled);
+  EXPECT_EQ(OneShot.Report.Scheduler.Cache.Hits, 0u);
+  EXPECT_EQ(OneShot.Report.Scheduler.Cache.Misses, 0u);
+
+  char Template[] = "/tmp/isq_driver_cache_XXXXXX";
+  ASSERT_NE(::mkdtemp(Template), nullptr);
+  std::string Dir = Template;
+  VerifyOptions Cold = Options;
+  Cold.Engine.CacheDir = Dir;
+  VerifyResult ColdRun = verifyModule(Cold);
+  for (const char *F : {"/obcache.bin", "/obcache.jrnl"})
+    ::unlink((Dir + F).c_str());
+  ::rmdir(Dir.c_str());
+  EXPECT_TRUE(ColdRun.Report.Scheduler.Cache.Enabled);
+  EXPECT_GT(ColdRun.Report.Scheduler.Cache.Misses, 0u);
+  EXPECT_TRUE(ColdRun.Diags.empty()) << ColdRun.Summary;
+
+  auto Scrub = [](std::string Json) {
+    static const std::regex Seconds("(\"[a-z_]*seconds\":)[0-9.]+");
+    static const std::regex Counters(
+        "(\"(?:cache_hits|cache_misses|disk_hits)\":)[0-9]+");
+    static const std::regex Enabled("(\"cache_enabled\":)(?:true|false)");
+    Json = std::regex_replace(Json, Seconds, "$010");
+    Json = std::regex_replace(Json, Counters, "$010");
+    return std::regex_replace(Json, Enabled, "$01X");
+  };
+  EXPECT_EQ(Scrub(renderJson(OneShot)), Scrub(renderJson(ColdRun)));
 }
 
 TEST(DriverTest, PaxosWithoutProposeAbstractionRejected) {

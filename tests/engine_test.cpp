@@ -462,6 +462,33 @@ TEST(CompactStoreTest, ShardCountIsObservableAndDeterministic) {
   EXPECT_EQ(Single.Engine.ShardOccupancy, 1u);
 }
 
+// Adversarial decode-cache access order: more distinct items than
+// DecodeCacheCapacity, read backwards and in large strides so the FIFO
+// caches keep evicting; every read must still decode the right value.
+TEST(CompactStoreTest, AdversarialDecodeOrderStaysCorrect) {
+  StateArena Arena(/*Shards=*/1, /*Compress=*/true);
+  auto Numbered = [](int64_t I) {
+    return makeStore({{"x", I}, {"y", I * 7 + 1}});
+  };
+  const int64_t N =
+      static_cast<int64_t>(StateArena::DecodeCacheCapacity) + 1500;
+  std::vector<StoreId> Ids;
+  Ids.reserve(N);
+  for (int64_t I = 0; I < N; ++I)
+    Ids.push_back(Arena.internStore(Numbered(I)));
+  // Backwards: every access misses a FIFO warmed by forward interning.
+  for (int64_t I = N - 1; I >= 0; I -= 3)
+    ASSERT_EQ(Arena.store(Ids[I]), Numbered(I)) << I;
+  // Large prime stride, two laps: revisits after capacity evictions.
+  for (int64_t Lap = 0; Lap < 2; ++Lap)
+    for (int64_t I = (Lap * 2741) % N, Seen = 0; Seen < N / 7;
+         ++Seen, I = (I + 2741) % N)
+      ASSERT_EQ(Arena.store(Ids[I]), Numbered(I)) << I;
+  // Re-interning a value whose decode was evicted still dedups.
+  for (int64_t I = 0; I < N; I += 97)
+    EXPECT_EQ(Arena.internStore(Numbered(I)), Ids[I]) << I;
+}
+
 //===----------------------------------------------------------------------===//
 // Truncation
 //===----------------------------------------------------------------------===//

@@ -20,6 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <stdexcept>
+#include <thread>
+
 using namespace isq;
 using namespace isq::engine;
 using namespace isq::testing;
@@ -228,6 +232,93 @@ TEST(ObligationSchedulerTest, IdenticalAcrossThreadCountsUnderContention) {
   expectSameResult(R1, R8, "threads 1 vs 8");
   expectSameCounters(S1, S2);
   expectSameCounters(S1, S8);
+}
+
+TEST(ObligationSchedulerTest, StreamingFoldIdenticalForInterleavedGroups) {
+  // Jobs of three groups (one with two channels) are submitted
+  // interleaved, finish out of order (uneven sleeps), and claim keys that
+  // span job boundaries, so each job's fold depends on the keys its
+  // group's earlier jobs consumed. Results and statistics must not
+  // depend on the worker count.
+  struct Outcome {
+    std::vector<CheckResult> Results;
+    ObligationStats Stats;
+  };
+  auto Run = [](unsigned Threads) {
+    ObligationScheduler Sched(threadConfig(Threads));
+    std::vector<ObligationScheduler::Group *> Groups = {
+        Sched.group(ObCondition::LeftMovers),
+        Sched.group(
+            {ObCondition::InductiveStep, ObCondition::SideConditions}),
+        Sched.group(ObCondition::Cooperation)};
+    for (uint32_t J = 0; J < 48; ++J) {
+      uint32_t GI = J % 3;
+      Sched.add(Groups[GI], [J, GI](ObSink &S) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds((J * 37) % 5 * 100));
+        for (uint32_t K = 0; K < 10; ++K) {
+          // Consecutive jobs of a group overlap on half of their keys.
+          uint64_t Key = (J / 3) * 5 + K;
+          uint8_t Channel = GI == 1 ? static_cast<uint8_t>(K % 2) : 0;
+          S.begin(ObKey{GI, Key, 0, 0}, Channel);
+          S.countObligation();
+          if (Key % 7 == 0)
+            S.fail("group " + std::to_string(GI) + " key " +
+                   std::to_string(Key) + " from job " + std::to_string(J));
+        }
+        S.begin(); // keyless: always applied
+        S.countObligation();
+      });
+    }
+    Sched.run();
+    Outcome O;
+    O.Results = {Sched.result(Groups[0]), Sched.result(Groups[1], 0),
+                 Sched.result(Groups[1], 1), Sched.result(Groups[2])};
+    O.Stats = Sched.stats();
+    return O;
+  };
+  Outcome One = Run(1);
+  // Spot-check against the serial semantics: group 0 owns keys 0..84
+  // once each plus one keyless unit per job.
+  EXPECT_EQ(One.Results[0].obligations(), 85u + 16u);
+  EXPECT_EQ(One.Stats.PerCondition[size_t(ObCondition::LeftMovers)]
+                .UnitsDeduped,
+            15u * 5u);
+  // The first diagnostic of a key comes from the earliest job owning it.
+  ASSERT_FALSE(One.Results[3].issues().empty());
+  EXPECT_EQ(One.Results[3].issues()[0], "group 2 key 0 from job 2");
+  for (unsigned Threads : {2u, 8u}) {
+    Outcome Other = Run(Threads);
+    for (size_t I = 0; I < One.Results.size(); ++I)
+      expectSameResult(One.Results[I], Other.Results[I],
+                       "result " + std::to_string(I) + " at threads " +
+                           std::to_string(Threads));
+    expectSameCounters(One.Stats, Other.Stats);
+    for (size_t C = 0; C < NumObConditions; ++C)
+      EXPECT_EQ(One.Stats.PerCondition[C].Jobs,
+                Other.Stats.PerCondition[C].Jobs)
+          << C;
+  }
+}
+
+TEST(ObligationSchedulerTest, ThrowingJobRethrowsWithoutDeadlock) {
+  // Wherever the failing job sits, the fold stalls behind it while the
+  // other workers finish; run() must still return by rethrowing.
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    for (uint32_t Bad : {0u, 37u, 99u}) {
+      ObligationScheduler Sched(threadConfig(Threads));
+      auto *G = Sched.group(ObCondition::LeftMovers);
+      for (uint32_t J = 0; J < 100; ++J)
+        Sched.add(G, [J, Bad](ObSink &S) {
+          if (J == Bad)
+            throw std::runtime_error("job " + std::to_string(J));
+          S.begin(ObKey{0, J % 10, 0, 0});
+          S.countObligation();
+        });
+      EXPECT_THROW(Sched.run(), std::runtime_error)
+          << "threads " << Threads << " bad job " << Bad;
+    }
+  }
 }
 
 // --- Scheduled refinement vs serial ------------------------------------

@@ -58,6 +58,18 @@ std::string scrubTimings(const std::string &Json) {
   return std::regex_replace(Json, Seconds, "$010");
 }
 
+/// scrubTimings plus the obligation-cache telemetry, which legitimately
+/// differs across cache states: the daemon always attaches its shared
+/// cache, a one-shot run without cache-dir attaches none.
+std::string scrubCache(const std::string &Json) {
+  static const std::regex Counters(
+      "(\"(?:cache_hits|cache_misses|disk_hits)\":)[0-9]+");
+  static const std::regex Enabled("(\"cache_enabled\":)(?:true|false)");
+  return std::regex_replace(
+      std::regex_replace(scrubTimings(Json), Counters, "$010"), Enabled,
+      "$01false");
+}
+
 } // namespace
 
 // --- Marshall / Unmarshall ----------------------------------------------
@@ -593,10 +605,10 @@ TEST(ServeEndToEndTest, SubmitTwiceSecondIsCacheHit) {
   EXPECT_EQ(Second.Verdict.ReportJson, First.Verdict.ReportJson);
 
   // And the served verdict matches a one-shot in-process run modulo
-  // timing fields.
+  // timing fields and cache telemetry.
   driver::VerifyResult Direct = driver::verifyModule(pingPongOptions());
-  EXPECT_EQ(scrubTimings(First.Verdict.ReportJson),
-            scrubTimings(driver::renderJson(Direct)));
+  EXPECT_EQ(scrubCache(First.Verdict.ReportJson),
+            scrubCache(driver::renderJson(Direct)));
 
   ServeReply Stats = Live.Client.stats(3);
   ASSERT_EQ(Stats.K, ServeReply::Kind::Stats);
@@ -904,14 +916,6 @@ TEST(ServeEndToEndTest, SharedObligationCacheAcrossDistinctRequests) {
   LiveServer Live;
   driver::VerifyOptions Base = pingPongOptions();
 
-  // Obligation-cache telemetry legitimately differs across cache states;
-  // everything else in the verdicts must be bit-identical.
-  auto ScrubCache = [](const std::string &Json) {
-    static const std::regex Cache(
-        "(\"(?:cache_hits|cache_misses|disk_hits)\":)[0-9]+");
-    return std::regex_replace(scrubTimings(Json), Cache, "$010");
-  };
-
   constexpr int Waves = 2, PerWave = 4;
   std::vector<std::string> Reports;
   std::mutex ReportsM;
@@ -950,11 +954,11 @@ TEST(ServeEndToEndTest, SharedObligationCacheAcrossDistinctRequests) {
 
   ASSERT_EQ(Reports.size(), static_cast<size_t>(Waves * PerWave));
   for (const std::string &Report : Reports)
-    EXPECT_EQ(ScrubCache(Report), ScrubCache(Reports.front()));
+    EXPECT_EQ(scrubCache(Report), scrubCache(Reports.front()));
 
   // And modulo the same scrub, the served verdicts match a one-shot
   // in-process run with no cache attached.
   driver::VerifyResult Direct = driver::verifyModule(Base);
-  EXPECT_EQ(ScrubCache(Reports.front()),
-            ScrubCache(driver::renderJson(Direct)));
+  EXPECT_EQ(scrubCache(Reports.front()),
+            scrubCache(driver::renderJson(Direct)));
 }

@@ -13,11 +13,7 @@
 #    Paxos (R=2, N=3) instance, and
 #  - the compact-store scale row: Paxos over FOUR acceptors explored
 #    end-to-end (symmetry + work stealing on), raw arenas vs the
-#    delta/varint-compressed store (BM_CompactPaxos), and
-#  - the tiered-store scale row: the same Paxos/4 exploration spilling
-#    to the mmap'd cold tier under a memory budget derived from the
-#    unspilled run's peak RSS (BM_SpillPaxos); the spilled run must
-#    keep identical counts within 2.5x of the unspilled wall time.
+#    delta/varint-compressed store (BM_CompactPaxos).
 #
 # Every invocation of a benchmark binary runs under a getrusage wrapper
 # (the image has no /usr/bin/time), and its child peak RSS is attached
@@ -58,17 +54,11 @@ cmake --build "$BUILD" -j --target bench_statespace bench_verify
 TMP_ENGINE="$(mktemp)"
 TMP_CHECKER="$(mktemp)"
 TMP_COMPACT="$(mktemp)"
-TMP_COMPACT1="$(mktemp)"
-TMP_SPILL="$(mktemp)"
 RSS_ENGINE="$(mktemp)"
 RSS_CHECKER="$(mktemp)"
 RSS_COMPACT="$(mktemp)"
-RSS_COMPACT1="$(mktemp)"
-RSS_SPILL="$(mktemp)"
-SPILL_DIR="$(mktemp -d)"
-trap 'rm -f "$TMP_ENGINE" "$TMP_CHECKER" "$TMP_COMPACT" "$TMP_COMPACT1" \
-  "$TMP_SPILL" "$RSS_ENGINE" "$RSS_CHECKER" "$RSS_COMPACT" \
-  "$RSS_COMPACT1" "$RSS_SPILL"; rm -rf "$SPILL_DIR"' EXIT
+trap 'rm -f "$TMP_ENGINE" "$TMP_CHECKER" "$TMP_COMPACT" "$RSS_ENGINE" \
+  "$RSS_CHECKER" "$RSS_COMPACT"' EXIT
 
 # The image has no /usr/bin/time; a getrusage wrapper records the
 # child's peak RSS (kb) and wall time (s) into the first argument.
@@ -106,33 +96,8 @@ rss_run "$RSS_COMPACT" "$BUILD/bench/bench_statespace" \
   --benchmark_out="$TMP_COMPACT" \
   --benchmark_out_format=json
 
-# Tiered-store scale row. First the compact run alone, so its peak RSS
-# is not polluted by the raw-arena mode sharing the process; then the
-# spilled run under a budget that is both <= 50% of that unspilled RSS
-# (the headline claim) and <= 50% of the compact store footprint (so
-# the budget bites and blocks provably evict — process RSS is dominated
-# by allocator overhead the store accountant does not govern).
-rss_run "$RSS_COMPACT1" "$BUILD/bench/bench_statespace" \
-  --benchmark_filter='BM_CompactPaxos/2/4/1$' \
-  --benchmark_out="$TMP_COMPACT1" \
-  --benchmark_out_format=json
-SPILL_BUDGET=$(python3 - "$RSS_COMPACT1" "$TMP_COMPACT1" <<'EOF'
-import json, sys
-rss_kb = int(open(sys.argv[1]).read().split()[0])
-doc = json.load(open(sys.argv[2]))
-footprint = int(doc["benchmarks"][0]["compressed_bytes"])
-print(min(rss_kb * 1024 // 2, footprint // 2))
-EOF
-)
-ISQ_SPILL_MEM_BUDGET="$SPILL_BUDGET" ISQ_SPILL_DIR="$SPILL_DIR" \
-  rss_run "$RSS_SPILL" "$BUILD/bench/bench_statespace" \
-  --benchmark_filter='BM_SpillPaxos' \
-  --benchmark_out="$TMP_SPILL" \
-  --benchmark_out_format=json
-
 python3 - "$TMP_ENGINE" "$TMP_CHECKER" "$TMP_COMPACT" "$OUT" "$BUILD_TYPE" \
-  "$GIT_SHA" "$TMP_COMPACT1" "$TMP_SPILL" "$RSS_ENGINE" "$RSS_CHECKER" \
-  "$RSS_COMPACT" "$RSS_COMPACT1" "$RSS_SPILL" <<'EOF'
+  "$GIT_SHA" "$RSS_ENGINE" "$RSS_CHECKER" "$RSS_COMPACT" <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -141,25 +106,18 @@ with open(sys.argv[2]) as f:
     checker = json.load(f)
 with open(sys.argv[3]) as f:
     compact = json.load(f)
-with open(sys.argv[7]) as f:
-    compact_solo = json.load(f)
-with open(sys.argv[8]) as f:
-    spill = json.load(f)
 
 def read_rss(path):
     rss_kb, wall = open(path).read().split()
     return int(rss_kb), float(wall)
 
-rss = {"engine": read_rss(sys.argv[9]), "checker": read_rss(sys.argv[10]),
-       "compact": read_rss(sys.argv[11]),
-       "compact_solo": read_rss(sys.argv[12]),
-       "spill": read_rss(sys.argv[13])}
+rss = {"engine": read_rss(sys.argv[7]), "checker": read_rss(sys.argv[8]),
+       "compact": read_rss(sys.argv[9])}
 
 # Every row carries the peak RSS of the recording process, so memory
 # regressions are visible in the committed trajectory, not just speed.
 for doc, src in ((engine, "engine"), (checker, "checker"),
-                 (compact, "compact"), (compact_solo, "compact_solo"),
-                 (spill, "spill")):
+                 (compact, "compact")):
     for b in doc["benchmarks"]:
         b["peak_rss_kb"] = rss[src][0]
 
@@ -170,30 +128,9 @@ context = dict(engine["context"])
 context["isq_build_type"] = sys.argv[5]
 context["isq_git_sha"] = sys.argv[6]
 
-# Tiered-store exit criterion: the spilled Paxos/4 exploration ran
-# under a budget <= 50% of the unspilled run's peak RSS, finished
-# within 2.5x of its wall time, with identical counts and real
-# evictions. The spill row records the unspilled baseline inline so
-# the committed JSON is self-contained.
-solo = compact_solo["benchmarks"][0]
-spill_rows = [b for b in spill["benchmarks"]
-              if b.get("run_type") != "aggregate"]
-assert spill_rows, "BM_SpillPaxos produced no rows"
-for b in spill_rows:
-    assert "error_occurred" not in b or not b["error_occurred"], b
-    assert b["mem_budget"] <= rss["compact_solo"][0] * 1024 / 2, \
-        "budget exceeds half the unspilled peak RSS"
-    assert b["blocks_evicted"] > 0, "budget never forced an eviction"
-    assert b["configs"] == solo["configs"], \
-        "spilled exploration changed the configuration count"
-    assert b["real_time"] <= 2.5 * solo["real_time"], \
-        "spilled run exceeded 2.5x the unspilled wall time"
-    b["unspilled_real_time"] = solo["real_time"]
-    b["unspilled_peak_rss_kb"] = rss["compact_solo"][0]
-
 merged = {"context": context,
           "benchmarks": (engine["benchmarks"] + checker["benchmarks"] +
-                         compact["benchmarks"] + spill_rows)}
+                         compact["benchmarks"])}
 with open(sys.argv[4], "w") as f:
     json.dump(merged, f, indent=1)
 
@@ -297,19 +234,6 @@ if rows:
               f" {raw:>11.2f} {comp:>11.2f} {c['configs']:>10.0f}"
               f" {c['compressed_bytes']:>17.0f}")
 
-# Tiered-store scale row: the spilled run against its unspilled
-# baseline (the compact-solo recording), with the derived budget and
-# the cold-tier traffic that proves the budget actually bit.
-print()
-print("tiered store: Paxos/4 spilled under a memory budget")
-print(f"{'instance':<24} {'unspilled_ms':>12} {'spilled_ms':>11} "
-      f"{'ratio':>6} {'budget':>9} {'evicted':>8} {'rss_kb':>8}")
-for b in spill_rows:
-    print(f"{b['run_name']:<24} {b['unspilled_real_time']:>12.2f} "
-          f"{b['real_time']:>11.2f} "
-          f"{b['real_time'] / b['unspilled_real_time']:>5.2f}x "
-          f"{b['mem_budget']:>9.0f} {b['blocks_evicted']:>8.0f} "
-          f"{b['peak_rss_kb']:>8}")
 print()
 EOF
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: build and test the normal configuration, then the
+# CI entry point: build and test the normal configuration, rebuild it
+# with -Werror (the build must stay free of warnings), then the
 # sanitized (address + undefined) configuration; verify every shipped
 # example end-to-end in both report formats (with a JSON schema sanity
 # check); smoke-run the benchmark binaries for one tiny iteration;
@@ -14,16 +15,13 @@
 # on-disk obligation verdict cache, a one-action edit whose warm run
 # must be bit-identical to the --engine incremental=false oracle with a
 # nonzero hit rate, and a corrupted cache that must degrade to a cold
-# run, never to different answers); run the tiered state-store spill
-# stage (paxos under a deliberately tiny memory budget must spill to
-# the cold tier and stay bit-identical to the unspilled oracle across
-# thread counts, and a rerun over a stale spill directory from an
-# "interrupted" run must succeed); finally run the threaded engine +
-# obligation-scheduler + symmetry + serve + spill + driver-re-entrancy
-# tests under ThreadSanitizer, including the --no-symmetry
-# differential, a tiny-steal-chunk run that forces cross-worker
-# stealing, a threaded warm run over a shared verdict cache, and a
-# threaded spilling run. All stages must pass.
+# run, never to different answers); check the checker's memory ceiling
+# (paxos R=2 N=3 at 2 threads must peak at <= 400 MB); finally run the
+# threaded engine + obligation-scheduler + symmetry + serve +
+# driver-re-entrancy tests under ThreadSanitizer, including the
+# --no-symmetry differential, a tiny-steal-chunk run that forces
+# cross-worker stealing, and a threaded warm run over a shared verdict
+# cache. All stages must pass.
 #
 # Usage: tools/ci.sh [JOBS]
 
@@ -60,7 +58,7 @@ example_flags() {
 # header documents its own invocation ("Verify with:"), so CI follows the
 # same command users see, plus --threads 2 to exercise the parallel
 # scheduler. The JSON report must parse and match the versioned schema
-# (v6: tiered state-store / spill observability).
+# (v7: spill fields removed; one-shot runs attach no verdict cache).
 verify_example() {
   local bin="$1" file="$2" flags
   flags=$(example_flags "$file")
@@ -72,7 +70,7 @@ verify_example() {
     python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
-assert doc["schema_version"] == 6, doc["schema_version"]
+assert doc["schema_version"] == 7, doc["schema_version"]
 assert doc["tool"] == "isq-verify"
 assert doc["exit_code"] == 0 and doc["accepted"] is True
 assert doc["diagnostics"] == []
@@ -81,36 +79,41 @@ assert names == ["side_conditions", "abstraction_refinement", "base_case",
                  "conclusion", "inductive_step", "left_movers",
                  "cooperation"], names
 assert all(c["ok"] and c["failures"] == 0 for c in doc["conditions"])
-assert all(c["obligations"] > 0 for c in doc["conditions"])
+# Without an --abstract flag, P(A) <= alpha(A) is reflexive: 0 obligations.
+abstracted = "--abstract" in sys.argv[1]
+assert all(c["obligations"] > 0 for c in doc["conditions"]
+           if abstracted or c["name"] != "abstraction_refinement")
 assert all("orbit_configs" in c and "orbit_states" in c
            for c in doc["conditions"])
 assert doc["cross_check"]["ran"] and doc["cross_check"]["ok"]
 assert doc["scheduler"]["threads"] == 2 and doc["scheduler"]["jobs"] > 0
 for key in ("symmetry_reduced", "canon_calls", "canon_cache_hits",
             "orbit_states_represented", "work_stealing", "steal_chunk",
-            "steals", "shards", "shard_occupancy", "compressed_bytes",
-            "spill_enabled", "mem_budget", "bytes_hot", "bytes_cold",
-            "blocks_evicted", "blocks_faulted", "fault_stall_ns"):
+            "steals", "shards", "shard_occupancy", "compressed_bytes"):
     assert key in doc["engine"], key
 assert doc["engine"]["work_stealing"] is True
 assert doc["engine"]["steal_chunk"] > 0
 assert doc["engine"]["shards"] >= 1
-assert doc["engine"]["spill_enabled"] is False  # spilling is opt-in
 assert 1 <= doc["engine"]["shard_occupancy"] <= doc["engine"]["shards"]
 ob = doc["obligations"]
 for key in ("total", "cache_enabled", "cache_hits", "cache_misses",
             "disk_hits"):
     assert key in ob, key
 assert ob["total"] > 0
-assert ob["cache_enabled"] is True  # v2 frontend stamps fingerprints
-assert ob["cache_hits"] + ob["cache_misses"] > 0
+# No cache-dir: nothing could reuse a cache, so none is attached (the
+# incremental stage covers cache eligibility with a cold cache-dir run).
+assert ob["cache_enabled"] is False
+assert ob["cache_hits"] == 0 and ob["cache_misses"] == 0
 for key in ("engine", "diagnostics", "total_seconds"):
     assert key in doc, key
 print("  json ok")
-'
+' "$flags"
 }
 
 run_config build
+echo "==== -Werror build ===="
+cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror
+cmake --build build-werror -j "$JOBS"
 run_config build-asan -DISQ_SANITIZE=ON
 
 echo "==== verify shipped examples (text + json) ===="
@@ -183,19 +186,20 @@ assert report["non_zero_exits"] == 0, report
 # manifest sets no --engine), or knob-sweep rows are indistinguishable.
 assert "engine" in report, sorted(report)
 # Obligation-cache telemetry is stats, not verdict: the daemon shares one
-# process-wide obligation cache across requests, so its hit counters
-# differ from a one-shot run's. Everything else must match exactly.
+# process-wide obligation cache across requests, while a one-shot run
+# without cache-dir attaches none. Everything else must match exactly.
 def scrub(s):
     s = re.sub(r'("[a-z_]*seconds":)[0-9.]+', r'\g<1>0', s)
-    return re.sub(r'("(?:cache_hits|cache_misses|disk_hits)":)[0-9]+',
-                  r'\g<1>0', s)
+    s = re.sub(r'("(?:cache_hits|cache_misses|disk_hits)":)[0-9]+',
+               r'\g<1>0', s)
+    return re.sub(r'("cache_enabled":)(?:true|false)', r'\g<1>X', s)
 for entry in (0, 1):
     served = open(tmp + "/entry%d.json" % entry).read()
     oneshot = open(tmp + "/oneshot%d.json" % entry).read()
     assert scrub(served) == scrub(oneshot), \
         "entry %d: served verdict != one-shot isq-verify" % entry
     doc = json.loads(served)
-    assert doc["schema_version"] == 6 and doc["tool"] == "isq-verify"
+    assert doc["schema_version"] == 7 and doc["tool"] == "isq-verify"
     assert doc["engine"]["work_stealing"] is True
     assert "shard_occupancy" in doc["engine"]
     assert doc["exit_code"] == 0 and doc["accepted"] is True
@@ -237,14 +241,19 @@ echo "==== engine differential: work-stealing vs level-sync ===="
 # The level-sync frontier is kept as a differential oracle for the
 # work-stealing engine: over the whole example corpus, with each
 # example's documented flags, the two modes must produce bit-identical
-# verdict JSON once we scrub (a) timing fields, (b) the steal count
-# (schedule-dependent when threaded), and (c) the engine-config echoes
-# that legitimately differ between modes (work_stealing, steal_chunk).
-# Everything else -- verdicts, obligation counts, interned stores/configs,
-# frontier peak, shard occupancy -- must agree exactly.
+# verdict JSON once we scrub (a) timing fields, (b) the steal count and
+# the hit counters of the hash-cons, transition and canonicalization
+# memos (schedule-dependent when threaded: racing workers may both miss
+# a memo), and (c) the
+# engine-config echoes that legitimately differ between modes
+# (work_stealing, steal_chunk). Everything else -- verdicts, obligation
+# counts, interned stores/configs, frontier peak, shard occupancy --
+# must agree exactly.
 scrub_engine() {
   sed -E -e 's/("[a-z_]*seconds":)[0-9.]+/\10/g' \
-         -e 's/("steals":)[0-9]+/\10/g' \
+         -e 's/("(steals|canon_cache_hits)":)[0-9]+/\10/g' \
+         -e 's/("(hash_cons_lookups|hash_cons_hits)":)[0-9]+/\10/g' \
+         -e 's/("(transition_cache_lookups|transition_cache_hits)":)[0-9]+/\10/g' \
          -e 's/("work_stealing":)(true|false)/\1X/g' \
          -e 's/("steal_chunk":)[0-9]+/\10/g' "$1"
 }
@@ -368,84 +377,31 @@ assert ob["disk_hits"] > 0 and ob["cache_misses"] == 0, ob
 print("  self-heal ok")
 '
 
-echo "==== tiered state store: spill vs hot-only oracle ===="
-# The hot-only compact store is the differential oracle for the tiered
-# store: paxos under a 64K memory budget (a small fraction of its
-# ~400K compact footprint) must evict blocks to the mmap'd cold tier
-# and still produce bit-identical verdict JSON, for every thread
-# count, once we scrub (a) timing fields, (b) schedule-dependent
-# telemetry (steals and the hit counters of the racy canonicalizer /
-# hash-cons / transition memos, which vary run-to-run when threaded
-# even without spilling), and (c) the engine-config echoes and spill
-# counters that legitimately differ between the two modes. Verdicts,
-# obligation counts, interned stores/configs/pa-sets, configurations,
-# transitions, and frontier peak must agree exactly.
-SPILL_TMP="$SERVE_TMP/spill"
-mkdir -p "$SPILL_TMP"
-# The N=2 instance from the example header is too small to seal
-# eviction blocks; the manifest's N=3 instance interns thousands of
-# stores/pa-sets per shard, so a 64K budget forces real spilling.
-spill_flags=$(grep '^paxos.*N=3' examples/asl/serve_manifest.txt |
+echo "==== memory: checker peak RSS ceiling ===="
+# The obligation scheduler folds units as jobs finish and one-shot runs
+# attach no verdict cache, so the checker's footprint stays near the
+# universe's. Paxos R=2 N=3 (the manifest instance) at 2 threads peaked
+# at ~740 MB before that and ~280 MB after; 400 MB catches a regression
+# to either old behaviour with headroom for allocator noise.
+mem_flags=$(grep '^paxos.*N=3' examples/asl/serve_manifest.txt |
   sed 's/^paxos\.asl //')
-scrub_spill() {
-  sed -E -e 's/("[a-z_]*seconds":)[0-9.]+/\10/g' \
-         -e 's/("(steals|canon_cache_hits)":)[0-9]+/\10/g' \
-         -e 's/("(hash_cons_lookups|hash_cons_hits)":)[0-9]+/\10/g' \
-         -e 's/("(transition_cache_lookups|transition_cache_hits)":)[0-9]+/\10/g' \
-         -e 's/("spill_enabled":)(true|false)/\1X/g' \
-         -e 's/("(mem_budget|bytes_hot|bytes_cold|blocks_evicted)":)[0-9]+/\10/g' \
-         -e 's/("(blocks_faulted|fault_stall_ns)":)[0-9]+/\10/g' "$1"
-}
-for t in 1 4; do
-  # shellcheck disable=SC2086
-  build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-    --threads "$t" --engine compress=true,shards=1 \
-    --format json > "$SPILL_TMP/oracle$t.json"
-  # shellcheck disable=SC2086
-  build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-    --threads "$t" --engine \
-    "compress=true,shards=1,spill=true,spill-dir=$SPILL_TMP/run$t,mem-budget=64K" \
-    --format json > "$SPILL_TMP/spill$t.json"
-  if ! diff <(scrub_spill "$SPILL_TMP/oracle$t.json") \
-            <(scrub_spill "$SPILL_TMP/spill$t.json") >/dev/null; then
-    echo "spill differential mismatch at --threads $t"; exit 1
-  fi
-  python3 - "$SPILL_TMP/spill$t.json" <<'EOF'
-import json, sys
-eng = json.load(open(sys.argv[1]))["engine"]
-# The budget is far below the compact footprint, so this run must have
-# actually exercised the cold tier: real evictions, the hot tier held
-# at (or under) the budget, and cold bytes carrying the spilled blocks.
-assert eng["spill_enabled"] is True
-assert eng["blocks_evicted"] > 0, eng
-assert eng["bytes_cold"] > 0, eng
-assert eng["bytes_hot"] <= eng["mem_budget"], eng
-EOF
-  echo "  paxos --threads $t: spill == hot-only oracle"
-done
-# Interrupted-run hygiene: a rerun pointed at a spill directory still
-# holding segment files from a previous (killed) run must clean the
-# stale segments at startup and succeed with the same answers.
-mkdir -p "$SPILL_TMP/stale/arena-0" "$SPILL_TMP/stale/arena-3"
-head -c 4096 /dev/zero > "$SPILL_TMP/stale/arena-0/seg-0.isqseg"
-printf 'truncated-garbage' > "$SPILL_TMP/stale/arena-3/seg-7.isqseg"
 # shellcheck disable=SC2086
-build/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-  --threads 4 --engine \
-  "compress=true,shards=1,spill=true,spill-dir=$SPILL_TMP/stale,mem-budget=64K" \
-  --format json > "$SPILL_TMP/stale.json"
-if ! diff <(scrub_spill "$SPILL_TMP/oracle4.json") \
-          <(scrub_spill "$SPILL_TMP/stale.json") >/dev/null; then
-  echo "spill rerun over stale directory changed answers"; exit 1
-fi
-echo "  stale spill-dir rerun ok"
+python3 - build/tools/isq-verify examples/asl/paxos.asl $mem_flags \
+  --engine threads=2 <<'EOF'
+import resource, subprocess, sys
+rc = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)
+assert rc == 0, rc
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb <= 400, "paxos N=3 peak RSS %.0f MB > 400 MB" % peak_mb
+print("  paxos N=3 threads=2 peak RSS %.0f MB" % peak_mb)
+EOF
 
 echo "==== TSan: threaded engine + scheduler + symmetry + serve ===="
 cmake -B build-tsan -S . -DISQ_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" --target engine_test scheduler_test \
-  symmetry_test cli_test serve_test reentrancy_test spill_test isq-verify
+  symmetry_test cli_test serve_test reentrancy_test isq-verify
 (cd build-tsan && ctest -j "$JOBS" --output-on-failure \
-  -R 'Engine|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy|Spill|ColdStore')
+  -R 'Engine|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
   --threads 4 >/dev/null
@@ -465,15 +421,6 @@ for _ in 1 2; do
     --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
     --threads 4 --engine cache-dir="$SERVE_TMP/tsan-cache" >/dev/null
 done
-# Tiered store under TSan: a threaded spilling run races readers
-# pinning sealed blocks against the evictor draining them to the cold
-# tier, and races decode-cache fills against cold-tier faults. The
-# tiny budget forces continual eviction for the whole exploration.
-# shellcheck disable=SC2086
-build-tsan/tools/isq-verify examples/asl/paxos.asl $spill_flags \
-  --threads 4 --engine \
-  "compress=true,shards=1,spill=true,spill-dir=$SERVE_TMP/tsan-spill,mem-budget=64K" \
-  >/dev/null
 # Symmetry differential under TSan: the reduced and unreduced paths must
 # both accept the symmetric module with the racy-memo canonicalizer active.
 for sym_flag in "" "--no-symmetry"; do
