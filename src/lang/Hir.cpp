@@ -23,7 +23,9 @@ std::string printBlock(const std::vector<hir::StmtPtr> &Body,
 std::string slotName(uint32_t Slot) {
   if (Slot == hir::NoSlot)
     return "%_";
-  return "%" + std::to_string(Slot);
+  std::string Out = "%";
+  Out += std::to_string(Slot);
+  return Out;
 }
 
 } // namespace
@@ -48,9 +50,13 @@ std::string hir::print(const hir::Expr &E) {
     return print(*E.Children[0]) + "[" + print(*E.Children[1]) + "]";
   case hir::ExprKind::Unary:
     return "(" + E.Op + " " + print(*E.Children[0]) + ")";
-  case hir::ExprKind::Binary:
-    return "(" + print(*E.Children[0]) + " " + E.Op + " " +
-           print(*E.Children[1]) + ")";
+  case hir::ExprKind::Binary: {
+    std::string Out = "(";
+    Out += print(*E.Children[0]);
+    Out += " " + E.Op + " ";
+    Out += print(*E.Children[1]);
+    return Out + ")";
+  }
   case hir::ExprKind::Call: {
     std::string Out = E.Name + "(";
     if (!E.Callee.empty())
@@ -83,8 +89,11 @@ std::string hir::print(const hir::Stmt &S, unsigned Indent) {
     return Pad + "await " + print(*S.Exprs[0]) + ";\n";
   case hir::StmtKind::Assign: {
     std::string Out = Pad + "@" + S.Name;
-    for (size_t I = 0; I + 1 < S.Exprs.size(); ++I)
-      Out += "[" + print(*S.Exprs[I]) + "]";
+    for (size_t I = 0; I + 1 < S.Exprs.size(); ++I) {
+      Out += "[";
+      Out += print(*S.Exprs[I]);
+      Out += "]";
+    }
     return Out + " := " + print(*S.Exprs.back()) + ";\n";
   }
   case hir::StmtKind::If: {

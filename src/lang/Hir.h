@@ -126,6 +126,11 @@ struct Stmt {
   std::vector<ExprPtr> Exprs;
   std::vector<StmtPtr> Body;
   std::vector<StmtPtr> ElseBody;
+  /// Some assert sits in this statement (nested blocks included) or in a
+  /// later statement of its block. Derived after optimization by
+  /// markAssertFacts (lang/HirEval.h) for gate-mode evaluation; true
+  /// until then, which disables pruning. Not part of the fingerprint.
+  bool AssertAtOrAfter = true;
 };
 
 struct Param {

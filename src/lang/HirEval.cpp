@@ -43,26 +43,24 @@ Value evalCall(const hir::Expr &E, const Store &G, HirEnv &Env) {
 
   if (E.Name == "pending" || E.Name == "pending_le" ||
       E.Name == "pending_le_at") {
-    if (!Env.Pending)
+    if (!Env.Omega)
       return Value::integer(0);
-    int64_t WantIdx =
-        static_cast<int64_t>(Symbol::get(E.Callee).index());
+    Symbol Want = Symbol::get(E.Callee);
     std::optional<int64_t> MaxFirst, ExactSecond;
     if (E.Children.size() >= 1)
       MaxFirst = Arg(0).getInt();
     if (E.Children.size() >= 2)
       ExactSecond = Arg(1).getInt();
     int64_t Total = 0;
-    for (const auto &[PaTuple, Count] : Env.Pending->bagEntries()) {
-      if (PaTuple.elem(0).getInt() != WantIdx)
+    for (const auto &[PA, Count] : Env.Omega->entries()) {
+      if (PA.Action != Want)
         continue;
-      if (MaxFirst &&
-          (PaTuple.size() < 2 || PaTuple.elem(1).getInt() > *MaxFirst))
+      if (MaxFirst && (PA.Args.empty() || PA.Args[0].getInt() > *MaxFirst))
         continue;
       if (ExactSecond &&
-          (PaTuple.size() < 3 || PaTuple.elem(2).getInt() != *ExactSecond))
+          (PA.Args.size() < 2 || PA.Args[1].getInt() != *ExactSecond))
         continue;
-      Total += Count.getInt();
+      Total += static_cast<int64_t>(Count);
     }
     return Value::integer(Total);
   }
@@ -265,12 +263,28 @@ struct PathState {
   std::vector<PendingAsync> Created;
 };
 
+/// Whether an assert can still run from statement \p Index of \p Stmts
+/// onward (markAssertFacts).
+bool assertAtOrAfter(const std::vector<hir::StmtPtr> &Stmts, size_t Index) {
+  return Index < Stmts.size() && Stmts[Index]->AssertAtOrAfter;
+}
+
 /// Path enumeration engine; structurally identical to Eval.cpp's Runner
 /// so both frontends enumerate transitions in the same order.
+///
+/// In gate mode only CanFail is computed: the run stops at the first
+/// violated assert, drops a path once no assert can follow it (in the
+/// rest of its block or in any enclosing continuation), and creates no
+/// pending asyncs. Every path it keeps is a prefix of a path the full
+/// run visits, in the same order, so CanFail is the same.
 struct Runner {
   BodyOutcome Outcome;
   const hir::TypeTable *Types = nullptr;
-  const Value *Pending = nullptr;
+  const PaMultiset *Omega = nullptr;
+  bool GateMode = false;
+  /// Gate mode: an assert may run after this runner's statement list
+  /// completes, in the continuation of an enclosing block or loop.
+  bool AssertAfter = false;
 
   static Value updateNested(const Value &Base,
                             const std::vector<Value> &Indices, size_t Depth,
@@ -286,14 +300,20 @@ struct Runner {
     HirEnv Env;
     Env.Slots = std::move(State.Slots);
     Env.Types = Types;
-    Env.Pending = Pending;
+    Env.Omega = Omega;
     Value V = evalHirExpr(E, State.G, Env);
     State.Slots = std::move(Env.Slots);
     return V;
   }
 
+  /// Gate mode: the gate is already known to be false.
+  bool decided() const { return GateMode && Outcome.CanFail; }
+
   void runList(const std::vector<hir::StmtPtr> &Stmts, size_t Index,
                PathState State) {
+    if (decided() ||
+        (GateMode && !AssertAfter && !assertAtOrAfter(Stmts, Index)))
+      return; // gate mode: no assert this path reaches can change CanFail
     if (Index == Stmts.size()) {
       Outcome.Transitions.emplace_back(std::move(State.G),
                                        std::move(State.Created));
@@ -330,10 +350,12 @@ struct Runner {
       return;
     }
     case hir::StmtKind::Async: {
-      std::vector<Value> Args;
-      for (const hir::ExprPtr &E : S.Exprs)
-        Args.push_back(eval(*E, State));
-      State.Created.emplace_back(S.Name, std::move(Args));
+      if (!GateMode) { // no gate reads the PAs a path creates
+        std::vector<Value> Args;
+        for (const hir::ExprPtr &E : S.Exprs)
+          Args.push_back(eval(*E, State));
+        State.Created.emplace_back(S.Name, std::move(Args));
+      }
       runList(Stmts, Index + 1, std::move(State));
       return;
     }
@@ -369,6 +391,8 @@ struct Runner {
       }
       // An empty collection blocks the path (no choice possible).
       for (const Value &Elem : Elems) {
+        if (decided())
+          return;
         PathState Branch = State;
         if (S.Slot != hir::NoSlot)
           Branch.Slots[S.Slot] = Elem;
@@ -380,19 +404,30 @@ struct Runner {
   }
 
 private:
+  /// A runner for a nested block whose continuation may assert iff
+  /// \p ContinuationMayAssert (or this runner's own continuation may).
+  Runner nested(bool ContinuationMayAssert) const {
+    Runner Sub;
+    Sub.Types = Types;
+    Sub.Omega = Omega;
+    Sub.GateMode = GateMode;
+    Sub.AssertAfter = AssertAfter || ContinuationMayAssert;
+    return Sub;
+  }
+
   /// Runs \p Inner to completion, then resumes (\p Outer, \p OuterIndex).
   /// Slots flowing out of the block are intentionally block-scoped:
   /// restore the outer slot vector (mirror of Eval.cpp's runNested).
   void runNested(const std::vector<hir::StmtPtr> &Inner, PathState State,
                  const std::vector<hir::StmtPtr> &Outer,
                  size_t OuterIndex) {
-    Runner Sub;
-    Sub.Types = Types;
-    Sub.Pending = Pending;
+    Runner Sub = nested(assertAtOrAfter(Outer, OuterIndex));
     std::vector<Value> OuterSlots = State.Slots;
     Sub.runList(Inner, 0, std::move(State));
     Outcome.CanFail = Outcome.CanFail || Sub.Outcome.CanFail;
     for (Transition &T : Sub.Outcome.Transitions) {
+      if (decided())
+        return;
       PathState Resumed;
       Resumed.G = std::move(T.Global);
       Resumed.Slots = OuterSlots;
@@ -409,16 +444,18 @@ private:
       runList(Outer, OuterIndex, std::move(State));
       return;
     }
-    // Bind the loop variable and run the body, then iterate.
-    Runner Sub;
-    Sub.Types = Types;
-    Sub.Pending = Pending;
+    // Bind the loop variable and run the body, then iterate. The body's
+    // continuation is the later iterations, then the outer block.
+    Runner Sub = nested((I < Hi && assertAtOrAfter(S.Body, 0)) ||
+                        assertAtOrAfter(Outer, OuterIndex));
     std::vector<Value> SavedSlots = State.Slots;
     if (S.Slot != hir::NoSlot)
       State.Slots[S.Slot] = Value::integer(I);
     Sub.runList(S.Body, 0, std::move(State));
     Outcome.CanFail = Outcome.CanFail || Sub.Outcome.CanFail;
     for (Transition &T : Sub.Outcome.Transitions) {
+      if (decided())
+        return;
       PathState Next;
       Next.G = std::move(T.Global);
       Next.Slots = SavedSlots;
@@ -431,10 +468,25 @@ private:
 } // namespace
 
 BodyOutcome asl::runHirBody(const std::vector<hir::StmtPtr> &Body,
-                            const Store &G, const HirEnv &Env) {
+                            const Store &G, const HirEnv &Env,
+                            RunMode Mode) {
   Runner R;
   R.Types = Env.Types;
-  R.Pending = Env.Pending;
+  R.Omega = Env.Omega;
+  R.GateMode = Mode == RunMode::Gate;
   R.runList(Body, 0, PathState{G, Env.Slots, {}});
   return std::move(R.Outcome);
+}
+
+bool asl::markAssertFacts(std::vector<hir::StmtPtr> &Stmts) {
+  bool Later = false;
+  for (auto It = Stmts.rbegin(); It != Stmts.rend(); ++It) {
+    hir::Stmt &S = **It;
+    // Both nested blocks get their own facts: no short-circuit.
+    bool InBody = markAssertFacts(S.Body);
+    bool InElse = markAssertFacts(S.ElseBody);
+    Later = Later || S.Kind == hir::StmtKind::Assert || InBody || InElse;
+    S.AssertAtOrAfter = Later;
+  }
+  return Later;
 }

@@ -168,6 +168,8 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
   // Lower the actions.
   CompiledModule Result;
   Result.InitialStore = Init;
+  for (hir::Action &A : Shared->Actions)
+    markAssertFacts(A.Body);
   for (const hir::Action &A : Shared->Actions) {
     size_t Arity = A.Params.size();
     const hir::Action *Decl = &A;
@@ -181,23 +183,10 @@ std::optional<CompiledModule> asl::lowerHir(hir::Module &&M,
       HirEnv Env;
       Env.Slots = BindSlots(Ctx.Args);
       Env.Types = &Shared->Types;
-      Value Mirror = Value::unit();
-      if (Decl->UsesPending) {
-        // Expose Ω to the pending builtins: a bag of
-        // (action-symbol index, args...) tuples.
-        Mirror = Value::bag({});
-        for (const auto &[PA, Count] : Ctx.Omega.entries()) {
-          std::vector<Value> Tuple;
-          Tuple.push_back(
-              Value::integer(static_cast<int64_t>(PA.Action.index())));
-          for (const Value &Arg : PA.Args)
-            Tuple.push_back(Arg);
-          Mirror = Mirror.bagInsert(Value::tuple(std::move(Tuple)), Count);
-        }
-        Env.Pending = &Mirror;
-      }
+      Env.Omega = &Ctx.Omega;
       // The gate is false iff some path can violate an assert.
-      return !runHirBody(Decl->Body, Ctx.Global, Env).CanFail;
+      return !runHirBody(Decl->Body, Ctx.Global, Env, RunMode::Gate)
+                  .CanFail;
     };
     Action::TransitionsFn Transitions =
         [Shared, Decl, BindSlots](const Store &G,

@@ -102,8 +102,11 @@ std::string asl::printStmt(const Stmt &S, unsigned Indent) {
     return Pad + "await " + printExpr(*S.Exprs[0]) + ";\n";
   case StmtKind::Assign: {
     std::string Out = Pad + S.Name;
-    for (size_t I = 0; I + 1 < S.Exprs.size(); ++I)
-      Out += "[" + printExpr(*S.Exprs[I]) + "]";
+    for (size_t I = 0; I + 1 < S.Exprs.size(); ++I) {
+      Out += "[";
+      Out += printExpr(*S.Exprs[I]);
+      Out += "]";
+    }
     return Out + " := " + printExpr(*S.Exprs.back()) + ";\n";
   }
   case StmtKind::If: {

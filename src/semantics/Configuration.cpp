@@ -29,5 +29,9 @@ size_t Configuration::hash() const {
 std::string Configuration::str() const {
   if (IsFailure)
     return "FAIL";
-  return "(" + Global.str() + ", " + toString(Pas) + ")";
+  std::string Out = "(";
+  Out += Global.str();
+  Out += ", ";
+  Out += toString(Pas);
+  return Out + ")";
 }

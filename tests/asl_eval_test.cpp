@@ -2,6 +2,7 @@
 
 #include "explorer/Explorer.h"
 #include "lang/Compile.h"
+#include "lang/Frontend.h"
 
 #include <gtest/gtest.h>
 
@@ -203,4 +204,86 @@ action Probe() {
   // Removing one PA flips the exact-count asserts.
   Omega.erase(PendingAsync("W", {Value::integer(1), Value::integer(5)}));
   EXPECT_FALSE(C->P.action("Probe").evalGate(C->InitialStore, {}, Omega));
+}
+
+TEST(AslEvalTest, PendingBuiltinsCountOmegaUnderBothFrontends) {
+  // The v2 gate counts Ω's entries directly; v1 reads its own mirror.
+  // Count's parameters are the expected values, so one action probes
+  // every case and a wrong expectation must flip the gate.
+  const char *Source = R"(
+action W(r: int, x: int) { skip; }
+action V(r: int, x: int) { skip; }
+action Z() { skip; }
+action U(r: int) { skip; }
+action Probe() {
+  assert pending(W) == 3;
+  assert pending_le(W, 2) == 2;
+  assert pending_le(W, 0) == 0;
+  assert pending_le_at(W, 3, 5) == 2;
+  assert pending_le_at(W, 3, 6) == 1;
+  assert pending_le_at(W, 1, 6) == 0;
+}
+action Count(w: int, wle: int, wat: int, z: int, zle: int, zat: int,
+             u: int, ule: int, uat: int) {
+  assert pending(W) == w;
+  assert pending_le(W, 1) == wle;
+  assert pending_le_at(W, 1, 5) == wat;
+  assert pending(Z) == z;
+  assert pending_le(Z, 9) == zle;
+  assert pending_le_at(Z, 9, 0) == zat;
+  assert pending(U) == u;
+  assert pending_le(U, 9) == ule;
+  assert pending_le_at(U, 9, 0) == uat;
+}
+)";
+  auto Ints = [](std::vector<int64_t> Xs) {
+    std::vector<Value> Out;
+    for (int64_t X : Xs)
+      Out.push_back(Value::integer(X));
+    return Out;
+  };
+  for (frontend::FrontendVersion Version :
+       {frontend::FrontendVersion::V1, frontend::FrontendVersion::V2}) {
+    SCOPED_TRACE(Version == frontend::FrontendVersion::V1 ? "v1" : "v2");
+    std::vector<Diagnostic> Diags;
+    auto C = frontend::compileSource(Source, "", {}, Version, Diags);
+    ASSERT_TRUE(C.has_value()) << (Diags.empty() ? "" : Diags[0].str());
+    const Action &Probe = C->P.action("Probe");
+    const Action &Count = C->P.action("Count");
+    const Store &G = C->InitialStore;
+
+    // The probe of PendingLeFiltersByFirstArgument.
+    PaMultiset Omega;
+    Omega.insert(PendingAsync("W", Ints({1, 5})));
+    Omega.insert(PendingAsync("W", Ints({2, 5})));
+    Omega.insert(PendingAsync("W", Ints({3, 6})));
+    EXPECT_TRUE(Probe.evalGate(G, {}, Omega));
+    Omega.erase(PendingAsync("W", Ints({1, 5})));
+    EXPECT_FALSE(Probe.evalGate(G, {}, Omega));
+
+    // One PA held twice counts 2; a PA of another action with the same
+    // arguments is not counted.
+    PaMultiset Twice;
+    Twice.insert(PendingAsync("W", Ints({1, 5})), 2);
+    Twice.insert(PendingAsync("V", Ints({1, 5})));
+    EXPECT_TRUE(Count.evalGate(G, Ints({2, 2, 2, 0, 0, 0, 0, 0, 0}), Twice));
+    EXPECT_FALSE(Count.evalGate(G, Ints({3, 2, 2, 0, 0, 0, 0, 0, 0}), Twice));
+    EXPECT_FALSE(Count.evalGate(G, Ints({2, 1, 2, 0, 0, 0, 0, 0, 0}), Twice));
+    EXPECT_FALSE(Count.evalGate(G, Ints({2, 2, 1, 0, 0, 0, 0, 0, 0}), Twice));
+
+    // pending of a zero-argument action counts its PAs; pending_le and
+    // pending_le_at skip PAs too short for the index they filter on.
+    PaMultiset Short;
+    Short.insert(PendingAsync("Z", {}), 2);
+    Short.insert(PendingAsync("U", Ints({0})));
+    EXPECT_TRUE(Count.evalGate(G, Ints({0, 0, 0, 2, 0, 0, 1, 1, 0}), Short));
+    EXPECT_FALSE(Count.evalGate(G, Ints({0, 0, 0, 1, 0, 0, 1, 1, 0}), Short));
+    EXPECT_FALSE(Count.evalGate(G, Ints({0, 0, 0, 2, 2, 0, 1, 1, 0}), Short));
+    EXPECT_FALSE(Count.evalGate(G, Ints({0, 0, 0, 2, 0, 2, 1, 1, 0}), Short));
+    EXPECT_FALSE(Count.evalGate(G, Ints({0, 0, 0, 2, 0, 0, 1, 1, 1}), Short));
+
+    // An empty Ω counts 0 everywhere.
+    EXPECT_TRUE(
+        Count.evalGate(G, Ints({0, 0, 0, 0, 0, 0, 0, 0, 0}), PaMultiset()));
+  }
 }

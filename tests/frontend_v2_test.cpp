@@ -19,6 +19,7 @@
 #include "lang/Binder.h"
 #include "lang/Frontend.h"
 #include "lang/HirBuilder.h"
+#include "lang/HirEval.h"
 #include "lang/HirOptimizer.h"
 #include "lang/ModuleResolver.h"
 #include "lang/Printer.h"
@@ -30,6 +31,7 @@
 
 #include <fstream>
 #include <regex>
+#include <set>
 #include <sstream>
 
 using namespace isq;
@@ -161,23 +163,29 @@ CompiledModule compileExample(const ExampleJob &Job,
   return C ? std::move(*C) : CompiledModule();
 }
 
-/// The instantiated (pre-optimizer) HIR of \p Job's example.
-hir::Module buildExampleHir(const ExampleJob &Job) {
+/// The instantiated (pre-optimizer) HIR of \p Source (read from \p Path;
+/// imports resolve from there) under \p Consts.
+hir::Module buildSourceHir(const std::string &Source, const std::string &Path,
+                           const std::map<std::string, int64_t> &Consts) {
   SourceManager SM;
   std::vector<Diagnostic> Diags;
   std::optional<Module> M =
-      resolveModules(readFile(examplePath(Job.File)), examplePath(Job.File),
-                     diskLoader(), SM, Diags);
-  EXPECT_TRUE(M.has_value()) << Job.File;
+      resolveModules(Source, Path, diskLoader(), SM, Diags);
+  EXPECT_TRUE(M.has_value()) << Path;
   SymbolTable Syms;
-  EXPECT_TRUE(bindModule(*M, Syms, Diags)) << Job.File;
-  EXPECT_TRUE(typeCheck(*M, Diags)) << Job.File;
+  EXPECT_TRUE(bindModule(*M, Syms, Diags)) << Path;
+  EXPECT_TRUE(typeCheck(*M, Diags)) << Path;
   std::map<std::string, int64_t> Resolved;
-  EXPECT_TRUE(resolveConstBindings(*M, Job.Consts, Resolved, Diags))
-      << Job.File;
+  EXPECT_TRUE(resolveConstBindings(*M, Consts, Resolved, Diags)) << Path;
   hir::Module H = buildHir(*M, Syms);
   instantiate(H, Resolved);
   return H;
+}
+
+/// The instantiated (pre-optimizer) HIR of \p Job's example.
+hir::Module buildExampleHir(const ExampleJob &Job) {
+  return buildSourceHir(readFile(examplePath(Job.File)),
+                        examplePath(Job.File), Job.Consts);
 }
 
 const std::vector<const char *> AllExampleFiles = {
@@ -332,6 +340,194 @@ TEST(FrontendV2Test, PaxosParamInstancesMatchV1ConstPrograms) {
   EXPECT_EQ(scrubSchedulingCounters(scrubTimings(renderJson(V1))),
             scrubSchedulingCounters(scrubTimings(renderJson(V2))))
       << "N=3";
+}
+
+// --- Gate mode --------------------------------------------------------------
+
+namespace {
+
+/// How often gate mode was compared with the full run, and how often the
+/// gate held: a comparison that never sees a false gate proves little.
+struct GateTally {
+  size_t Contexts = 0;
+  size_t Held = 0;
+};
+
+/// Evaluates every action's gate of (\p Source, \p Path) under \p Consts at
+/// every (store, args, Ω) context of its explored universe: the store and
+/// Ω of each reachable configuration, with the arguments of every PA
+/// there whose parameter types match the action's (zero-parameter
+/// actions at every configuration). Gate mode must agree with the full
+/// run's CanFail, and with the lowered gate the checkers call.
+GateTally expectGateModeMatchesFullRun(
+    const std::string &Source, const std::string &Path,
+    const std::map<std::string, int64_t> &Consts) {
+  // The module the lowered gates evaluate: optimized, facts computed.
+  hir::Module H = buildSourceHir(Source, Path, Consts);
+  optimizeHir(H);
+  for (hir::Action &A : H.Actions)
+    markAssertFacts(A.Body);
+  std::vector<Diagnostic> Diags;
+  std::optional<CompiledModule> C = frontend::compileSource(
+      Source, Path, Consts, frontend::FrontendVersion::V2, Diags);
+  EXPECT_TRUE(C.has_value())
+      << Path << ": " << (Diags.empty() ? "" : Diags[0].str());
+  if (!C)
+    return {};
+
+  std::map<std::string, std::string> SignatureOf; // parameter types
+  for (const hir::Action &A : H.Actions) {
+    std::string &Sig = SignatureOf[A.Name];
+    for (const hir::Param &P : A.Params)
+      Sig += H.Types.get(P.Type).str() + ";";
+  }
+
+  GateTally Tally;
+  ExploreResult R = explore(C->P, initialConfiguration(C->InitialStore));
+  for (const Configuration &Config : R.Reachable) {
+    const PaMultiset &Omega = Config.pendingAsyncs();
+    std::map<std::string, std::set<std::vector<Value>>> ArgsBySignature;
+    for (const auto &[PA, Count] : Omega.entries())
+      ArgsBySignature[SignatureOf.at(PA.Action.str())].insert(PA.Args);
+    ArgsBySignature[""].insert({});
+    for (const hir::Action &A : H.Actions) {
+      const std::string &Sig = SignatureOf.at(A.Name);
+      for (const std::vector<Value> &Args : ArgsBySignature[Sig]) {
+        HirEnv Env;
+        Env.Slots.assign(A.NumSlots, Value::unit());
+        for (size_t I = 0; I < A.Params.size(); ++I)
+          Env.Slots[A.Params[I].Slot] = Args[I];
+        Env.Types = &H.Types;
+        Env.Omega = &Omega;
+        bool Full = !runHirBody(A.Body, Config.global(), Env).CanFail;
+        bool Gate =
+            !runHirBody(A.Body, Config.global(), Env, RunMode::Gate).CanFail;
+        bool Lowered =
+            C->P.action(A.Name).evalGate(Config.global(), Args, Omega);
+        ++Tally.Contexts;
+        Tally.Held += Full;
+        EXPECT_EQ(Gate, Full) << Path << ": " << A.Name << " at "
+                              << Config.str();
+        EXPECT_EQ(Lowered, Full) << Path << ": " << A.Name << " at "
+                                 << Config.str();
+      }
+    }
+  }
+  return Tally;
+}
+
+} // namespace
+
+TEST(FrontendV2Test, GateModeMatchesFullRunOnEveryExample) {
+  // The serve-manifest instances (chang_roberts at its documented size)
+  // plus the diamond-import fixture.
+  const std::vector<std::pair<std::string, std::map<std::string, int64_t>>>
+      Instances = {
+          {examplePath("ping_pong.asl"), {{"T", 3}}},
+          {examplePath("broadcast.asl"), {{"n", 3}}},
+          {examplePath("two_phase_commit.asl"), {{"n", 2}}},
+          {examplePath("producer_consumer.asl"), {{"T", 3}}},
+          {examplePath("paxos.asl"), {{"R", 2}, {"N", 2}}},
+          {examplePath("paxos.asl"), {{"R", 2}, {"N", 3}}},
+          {examplePath("chang_roberts.asl"), {{"n", 3}}},
+          {std::string(ISQ_SOURCE_DIR) + "/tests/asl_imports/diamond_main.asl",
+           {}},
+      };
+  GateTally Total;
+  for (const auto &[Path, Consts] : Instances) {
+    GateTally T = expectGateModeMatchesFullRun(readFile(Path), Path, Consts);
+    EXPECT_GT(T.Contexts, 0u) << Path;
+    Total.Contexts += T.Contexts;
+    Total.Held += T.Held;
+  }
+  EXPECT_GT(Total.Held, 0u);
+  EXPECT_LT(Total.Held, Total.Contexts) << "no gate was ever false";
+}
+
+TEST(FrontendV2Test, GateModeMatchesFullRunPastTheAssertPrefix) {
+  // Asserts that do not lead the body: after a choose, inside an if
+  // branch, inside a for body, after an assignment the assert reads, and
+  // after blocks, or blocks nested in blocks, that contain none (the
+  // enclosing continuations carry them).
+  // Tick only feeds the universe stores and int arguments.
+  const char *Source = R"(
+var coin: set<bool> := insert(insert({}, true), false);
+var x: int := 0;
+var m: map<int, int> := map k in 0 .. 1 : 0;
+var zero: set<int> := insert({}, 0);
+
+action Main() {
+  for i in 0 .. 3 {
+    async Tick(i);
+  }
+}
+
+action Tick(i: int) {
+  choose b in coin;
+  if b {
+    x := x + i;
+    m[i % 2] := m[i % 2] + 1;
+  }
+}
+
+action AfterChoose(i: int) {
+  choose k in insert(zero, i);
+  assert x + k <= 4;
+}
+
+action InIfBranch(i: int) {
+  if i % 2 == 0 {
+    x := x + 1;
+  } else {
+    choose b in coin;
+    assert b || x != i;
+  }
+}
+
+action InForBody(i: int) {
+  for j in 0 .. i {
+    choose b in coin;
+    if b {
+      m[j % 2] := m[j % 2] + 1;
+    }
+    assert m[j % 2] <= 2;
+  }
+}
+
+action AfterAssign(i: int) {
+  x := x + i;
+  assert x < 5;
+}
+
+action AfterBlocks(i: int) {
+  choose b in coin;
+  if b {
+    x := x + 1;
+  }
+  for j in 1 .. i {
+    x := x + 1;
+  }
+  assert x <= 5;
+}
+
+action AfterNestedBlocks(i: int) {
+  if i > 0 {
+    if i > 1 {
+      x := x + i;
+    }
+  }
+  assert x <= 4;
+}
+
+action QuietAfterAwait(i: int) {
+  await x >= 1;
+  choose b in coin;
+  assert b || pending_le(Tick, i) == 0;
+}
+)";
+  GateTally T = expectGateModeMatchesFullRun(Source, "gate-fixture", {});
+  EXPECT_GT(T.Held, 0u);
+  EXPECT_LT(T.Held, T.Contexts) << "no gate was ever false";
 }
 
 // --- Module resolution ----------------------------------------------------

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build and test the normal configuration, rebuild it
-# with -Werror (the build must stay free of warnings), then the
-# sanitized (address + undefined) configuration; verify every shipped
+# with -Werror, default and Release (the build must stay warning-free),
+# then the sanitized (address + undefined) configuration; verify every shipped
 # example end-to-end in both report formats (with a JSON schema sanity
 # check); smoke-run the benchmark binaries for one tiny iteration;
 # smoke-test the verification service (isq-serve + isq-loadgen: verdict
@@ -19,7 +19,7 @@
 # (paxos R=2 N=3 at 2 threads must peak at <= 400 MB); finally run the
 # threaded engine + obligation-scheduler + symmetry + serve +
 # driver-re-entrancy tests under ThreadSanitizer, including the
-# --no-symmetry differential, a tiny-steal-chunk run that forces
+# symmetry=false differential, a tiny-steal-chunk run that forces
 # cross-worker stealing, and a threaded warm run over a shared verdict
 # cache. All stages must pass.
 #
@@ -56,7 +56,7 @@ example_flags() {
 
 # Runs isq-verify over one example in text and JSON format; the example
 # header documents its own invocation ("Verify with:"), so CI follows the
-# same command users see, plus --threads 2 to exercise the parallel
+# same command users see, plus --engine threads=2 to exercise the parallel
 # scheduler. The JSON report must parse and match the versioned schema
 # (v7: spill fields removed; one-shot runs attach no verdict cache).
 verify_example() {
@@ -64,9 +64,9 @@ verify_example() {
   flags=$(example_flags "$file")
   echo "==== isq-verify $file ===="
   # shellcheck disable=SC2086
-  "$bin" "$file" $flags --threads 2 >/dev/null
+  "$bin" "$file" $flags --engine threads=2 >/dev/null
   # shellcheck disable=SC2086
-  "$bin" "$file" $flags --threads 2 --format json |
+  "$bin" "$file" $flags --engine threads=2 --format json |
     python3 -c '
 import json, sys
 doc = json.load(sys.stdin)
@@ -114,6 +114,12 @@ run_config build
 echo "==== -Werror build ===="
 cmake -B build-werror -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build-werror -j "$JOBS"
+# Release (-O3, NDEBUG) inlines differently and warns where the default
+# RelWithDebInfo build does not; verdictbench compiles src/ this way.
+echo "==== -Werror Release build ===="
+cmake -B build-werror-release -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror
+cmake --build build-werror-release -j "$JOBS"
 run_config build-asan -DISQ_SANITIZE=ON
 
 echo "==== verify shipped examples (text + json) ===="
@@ -261,7 +267,7 @@ for f in examples/asl/*.asl; do
   flags=$(example_flags "$f")
   for mode in "work-stealing=true,steal-chunk=8" "work-stealing=false"; do
     # shellcheck disable=SC2086
-    build/tools/isq-verify "$f" $flags --threads 4 --engine "$mode" \
+    build/tools/isq-verify "$f" $flags --engine "threads=4,$mode" \
       --format json > "$SERVE_TMP/engine-${mode%%,*}.json"
   done
   if ! diff <(scrub_engine "$SERVE_TMP/engine-work-stealing=true.json") \
@@ -404,14 +410,14 @@ cmake --build build-tsan -j "$JOBS" --target engine_test scheduler_test \
   -R 'Engine|Scheduler|Symmetry|Cli|Serve|VerdictCache|JobQueue|Reentrancy')
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
-  --threads 4 >/dev/null
+  --engine threads=4 >/dev/null
 # Force heavy cross-worker stealing under TSan: a tiny steal chunk makes
 # every worker contend on every deque, so the work-stealing engine's
 # synchronization (deque locks, chunk Done flags, seen-bit publication)
 # is exercised far beyond what default chunking produces.
 build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
   --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
-  --threads 4 --engine steal-chunk=4,shards=8 >/dev/null
+  --engine threads=4,steal-chunk=4,shards=8 >/dev/null
 # Obligation verdict cache under TSan: a cold threaded run racing
 # inserts into the shared cache, then a warm threaded run racing lazy
 # decodes out of the mmap'd image (serve_test separately covers many
@@ -419,16 +425,16 @@ build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
 for _ in 1 2; do
   build-tsan/tools/isq-verify examples/asl/broadcast.asl --const n=3 \
     --eliminate Broadcast,Collect --abstract Collect=CollectAbs \
-    --threads 4 --engine cache-dir="$SERVE_TMP/tsan-cache" >/dev/null
+    --engine "threads=4,cache-dir=$SERVE_TMP/tsan-cache" >/dev/null
 done
 # Symmetry differential under TSan: the reduced and unreduced paths must
 # both accept the symmetric module with the racy-memo canonicalizer active.
-for sym_flag in "" "--no-symmetry"; do
+for symmetry in true false; do
   # shellcheck disable=SC2086
   build-tsan/tools/isq-verify examples/asl/two_phase_commit.asl \
     --const n=2 --eliminate RequestVotes,Vote,Decide,Finalize \
     --abstract Decide=DecideAbs --weight RequestVotes=8 --weight Decide=4 \
-    --threads 4 $sym_flag >/dev/null
+    --engine threads=4,symmetry=$symmetry >/dev/null
 done
 
 echo "==== CI OK ===="
